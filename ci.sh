@@ -3,8 +3,9 @@
 #
 # Runs, in order: build, formatting check, go vet, the project's own
 # linter (internal/analysis via cmd/unmasquelint), the full test suite
-# under the race detector, every fuzz target in smoke mode, an
-# end-to-end traced extraction whose JSONL output is schema-validated,
+# under the race detector, the benchmark module's tests, every fuzz
+# target in smoke mode, an end-to-end traced extraction whose JSONL
+# output is schema-validated,
 # the storage-tier end-to-ends (crash-recovery self-check, disk-store
 # differential, warm-daemon restart on a durable probe cache), and a
 # coverage gate on the load-bearing packages. Any failure stops the
@@ -41,6 +42,12 @@ done
 
 echo "== go test -race"
 go test -race ./...
+
+# The extraction benchmark (perfbench/, see BENCHMARK.json) is its own
+# module and so outside ./... above; its workload, gate and metric
+# tests run here.
+echo "== perfbench tests"
+go -C perfbench test ./...
 
 # Differential engine harness: the corpus/edge-case/e2e tests execute
 # every query under both exec modes internally; here the CLI is also

@@ -196,5 +196,8 @@ func TestQuickExperimentShapes(t *testing.T) {
 		if res.Elapsed > time.Minute {
 			t.Errorf("from-clause took %v with %d tables", res.Elapsed, res.Tables)
 		}
+		if res.RenameProbes > 40 || res.FullRuns > res.RenameProbes {
+			t.Errorf("%d rename probes, %d full-instance runs with %d tables", res.RenameProbes, res.FullRuns, res.Tables)
+		}
 	})
 }

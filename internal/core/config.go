@@ -27,15 +27,16 @@ import (
 // Config tunes the extraction pipeline. The zero value is NOT valid;
 // use DefaultConfig.
 type Config struct {
-	// ProbeTimeout bounds each from-clause probe execution (the paper
-	// uses 100 ms in the schema-scaling experiment). Only renames are
-	// probed under this deadline; all other pipeline executions use
-	// ExecTimeout.
+	// ProbeTimeout is the first deadline of each from-clause rename
+	// probe (the paper uses 100 ms in the schema-scaling experiment).
+	// A probe that times out is inconclusive and re-runs with the
+	// deadline doubled, up to ExecTimeout; all other pipeline
+	// executions use ExecTimeout.
 	ProbeTimeout time.Duration
 
-	// ExecTimeout bounds every non-from-clause application execution
-	// (minimizer probes on still-large databases can legitimately
-	// take a while).
+	// ExecTimeout bounds every application execution (minimizer
+	// probes on still-large databases can legitimately take a while)
+	// and caps the escalating from-clause probe deadline.
 	ExecTimeout time.Duration
 
 	// SampleFraction is the per-pass Bernoulli sampling rate of the
@@ -126,12 +127,12 @@ type Config struct {
 	Seed int64
 
 	// Workers bounds the probe scheduler's worker pool: independent
-	// probes (per-table from-clause renames, per-column filter
-	// extraction, per-unit projection probes) fan out over up to this
-	// many goroutines, each operating on its own database clone. Zero
-	// selects runtime.GOMAXPROCS(0); 1 forces the fully sequential
-	// pipeline. The extracted SQL text is identical for every worker
-	// count — parallelism only changes wall-clock time.
+	// probes (per-column filter extraction, per-unit projection
+	// probes) fan out over up to this many goroutines, each operating
+	// on its own database clone. Zero selects runtime.GOMAXPROCS(0);
+	// 1 forces the fully sequential pipeline. The extracted SQL text
+	// is identical for every worker count — parallelism only changes
+	// wall-clock time.
 	Workers int
 
 	// DisableRunCache turns off executable-run memoization. With the
@@ -310,9 +311,9 @@ type Stats struct {
 	Workers int
 
 	// ParallelProbes counts probes that were dispatched through the
-	// worker pool (from-clause renames, per-column filter extractions,
-	// projection unit and corner probes). Sequential probes — the
-	// minimizer's dependent halvings, binary-search steps — are not
+	// worker pool (per-column filter extractions, projection unit and
+	// corner probes). Sequential probes — the from-clause group tests,
+	// the minimizer's dependent halvings, binary-search steps — are not
 	// included.
 	ParallelProbes int64
 

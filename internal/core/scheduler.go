@@ -17,8 +17,7 @@ import (
 // obs.Ledger / obs.Metrics hooks.
 //
 // Scheduler: pipeline modules whose probes are mutually independent —
-// from-clause rename probes (one per candidate table), filter
-// extraction (one search per column), projection dependency and
+// filter extraction (one search per column), projection dependency and
 // coefficient probes (one per mutation unit / grid corner) — fan out
 // over a bounded worker pool of Config.Workers goroutines. Every
 // probe builds its own database clone, so workers never share mutable

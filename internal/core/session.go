@@ -58,8 +58,8 @@ type Session struct {
 	phaseSpan  *obs.Span
 	phaseStart time.Time
 
-	// source is the provided D_I; it is only read (plus temporarily
-	// renamed tables during from-clause probing on the silo clone).
+	// source is the provided D_I; it is only read (from-clause probes
+	// rename tables on shared-row clones of it).
 	source *sqldb.Database
 	// silo is the working database; after minimization it holds D_1.
 	silo *sqldb.Database
@@ -126,37 +126,11 @@ func Extract(exe app.Executable, di *sqldb.Database, cfg Config) (*Extraction, e
 // of long-running callers (the extraction service, tests with
 // deadlines); Extract remains the thin background-context wrapper.
 func ExtractContext(ctx context.Context, exe app.Executable, di *sqldb.Database, cfg Config) (*Extraction, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	s, err := newSession(ctx, exe, di, cfg)
+	if err != nil {
+		return nil, err
 	}
-	if err := cfg.validate(); err != nil {
-		return nil, moduleErr("config", err)
-	}
-	// Executables that declare concurrent Run unsafe are serialized
-	// before the probe scheduler can fan them out; their probes then
-	// run one at a time with no extraction-visible difference.
-	if rep, ok := exe.(app.ConcurrencyReporter); ok && !rep.ConcurrentRunSafe() {
-		exe = &app.Serialized{Inner: exe}
-	}
-	s := &Session{
-		cfg:        cfg,
-		ctx:        ctx,
-		exe:        &app.CountingExecutable{Inner: exe},
-		rng:        newRNG(cfg.Seed),
-		source:     di,
-		schemas:    map[string]sqldb.TableSchema{},
-		compOf:     map[sqldb.ColRef]int{},
-		filters:    map[sqldb.ColRef]FilterPredicate{},
-		groupBySet: map[sqldb.ColRef]bool{},
-		tracer:     cfg.Tracer,
-		ledger:     cfg.Ledger,
-		metrics:    cfg.Metrics,
-		logger:     cfg.Logger,
-	}
-	if !cfg.DisableRunCache {
-		s.cache = newRunCache()
-		s.shared = cfg.SharedCache
-	}
+	ctx, cfg = s.ctx, s.cfg
 	// Select the probe execution engine. The silo and every probe
 	// clone inherit the mode (and share di's engine counters), so one
 	// knob switches the whole extraction.
@@ -303,6 +277,43 @@ func ExtractContext(ctx context.Context, exe app.Executable, di *sqldb.Database,
 		"invocations", s.stats.AppInvocations,
 		"exec_mode", s.stats.ExecMode)
 	return ext, nil
+}
+
+// newSession validates cfg and builds the session of one extraction
+// of exe on di under ctx (nil selects context.Background()).
+func newSession(ctx context.Context, exe app.Executable, di *sqldb.Database, cfg Config) (*Session, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := cfg.validate(); err != nil {
+		return nil, moduleErr("config", err)
+	}
+	// Executables that declare concurrent Run unsafe are serialized
+	// before the probe scheduler can fan them out; their probes then
+	// run one at a time with no extraction-visible difference.
+	if rep, ok := exe.(app.ConcurrencyReporter); ok && !rep.ConcurrentRunSafe() {
+		exe = &app.Serialized{Inner: exe}
+	}
+	s := &Session{
+		cfg:        cfg,
+		ctx:        ctx,
+		exe:        &app.CountingExecutable{Inner: exe},
+		rng:        newRNG(cfg.Seed),
+		source:     di,
+		schemas:    map[string]sqldb.TableSchema{},
+		compOf:     map[sqldb.ColRef]int{},
+		filters:    map[sqldb.ColRef]FilterPredicate{},
+		groupBySet: map[sqldb.ColRef]bool{},
+		tracer:     cfg.Tracer,
+		ledger:     cfg.Ledger,
+		metrics:    cfg.Metrics,
+		logger:     cfg.Logger,
+	}
+	if !cfg.DisableRunCache {
+		s.cache = newRunCache()
+		s.shared = cfg.SharedCache
+	}
+	return s, nil
 }
 
 // beginPhase opens the trace span of the next pipeline phase and

@@ -58,7 +58,8 @@ const (
 	// (everything except from-clause table probing).
 	KindExec = "exec"
 	// KindRename is a from-clause rename probe: E runs against the
-	// full instance with one table renamed, under the probe timeout.
+	// full instance with a group of tables renamed, under the probe
+	// deadline.
 	KindRename = "rename"
 )
 
@@ -135,7 +136,8 @@ type ProbeEvent struct {
 	PhaseSeq int    `json:"phase_seq"`
 	// Kind is KindExec or KindRename.
 	Kind string `json:"kind"`
-	// Table is the renamed table of a KindRename probe.
+	// Table is the comma-joined set of tables a KindRename probe
+	// renamed, in catalog order (a single name for a one-table group).
 	Table string `json:"table,omitempty"`
 	// FP is the hex sqldb.Fingerprint of the input database; empty
 	// when the probe bypassed fingerprinting (large instance, cache

@@ -104,8 +104,8 @@ func (f Fingerprint) Hex() string {
 // table gets a fresh Table struct and schema, but the row slice is
 // SHARED with the receiver. The copy supports the structural mutations
 // the from-clause probe needs (RenameTable, DropTable) without paying
-// for a row copy, which makes per-table rename probes cheap enough to
-// fan out in parallel over the full provided instance.
+// for a row copy, so a rename probe over the full provided instance
+// costs O(tables) setup regardless of its size.
 //
 // Callers must not mutate row contents through a shared clone (SetAll,
 // Set, NegateColumn, Insert and the minimizer primitives all write
