@@ -56,13 +56,17 @@ go -C perfbench test ./...
 echo "== differential engine harness (tree oracle vs vector)"
 go test -run 'TestEngineDiff|TestExecDiff|TestVecEval|TestExtractionIdenticalAcrossExecModes' \
     ./internal/sqldb ./internal/core
-tree_sql=$(go run ./cmd/unmasque -app enki/posts_by_tag -exec tree | grep -v '^--')
-vector_sql=$(go run ./cmd/unmasque -app enki/posts_by_tag -exec vector | grep -v '^--')
-if [ "$tree_sql" != "$vector_sql" ]; then
-    echo "engine differential: -exec tree and -exec vector extract different SQL" >&2
-    printf 'tree:   %s\nvector: %s\n' "$tree_sql" "$vector_sql" >&2
-    exit 1
-fi
+# One single-table app, a 6-way join (Q5) and a join + group + limit
+# (Q18), so the CLI check covers the join path end to end.
+for app in enki/posts_by_tag tpch/Q5 tpch/Q18; do
+    tree_sql=$(go run ./cmd/unmasque -app "$app" -exec tree | grep -v '^--')
+    vector_sql=$(go run ./cmd/unmasque -app "$app" -exec vector | grep -v '^--')
+    if [ "$tree_sql" != "$vector_sql" ]; then
+        echo "engine differential: -exec tree and -exec vector extract different SQL for $app" >&2
+        printf 'tree:   %s\nvector: %s\n' "$tree_sql" "$vector_sql" >&2
+        exit 1
+    fi
+done
 
 # Fuzz smoke: each native fuzz target runs briefly so a regression in
 # a fuzzed invariant (parser round-trip, LIKE matcher, expression

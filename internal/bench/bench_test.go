@@ -31,6 +31,24 @@ func TestTextTableRendering(t *testing.T) {
 	}
 }
 
+// TestPointLookupChecksResultIdentity: the point-lookup microbenchmark
+// compares tree and vector result digests like every other engine
+// row, so its SQLIdentical column means "checked and identical".
+func TestPointLookupChecksResultIdentity(t *testing.T) {
+	opt := DefaultOptions()
+	opt.Quick = true
+	row, err := pointLookupMicrobench(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !row.SQLIdentical {
+		t.Errorf("%s: tree and vector results differ", row.Case)
+	}
+	if row.IndexHits == 0 {
+		t.Errorf("%s: no index hits; the vector run never used the point index", row.Case)
+	}
+}
+
 // TestQuickExperimentShapes runs the fast drivers end to end and
 // asserts the paper shapes (skipped in -short mode; this is the
 // harness's own integration test).
@@ -154,6 +172,9 @@ func TestQuickExperimentShapes(t *testing.T) {
 			}
 			if r.P50 > r.P99 {
 				t.Errorf("workers=%d: p50 %dms > p99 %dms", r.Workers, r.P50, r.P99)
+			}
+			if r.P99 <= 0 {
+				t.Errorf("workers=%d: p99 %dms: job latency was never read", r.Workers, r.P99)
 			}
 		}
 	})

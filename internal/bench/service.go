@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"sync"
 	"time"
@@ -81,14 +82,16 @@ func Service(w io.Writer, opt Options) ([]ServiceRow, error) {
 			return nil, fmt.Errorf("service bench drain (workers=%d): %w", workers, err)
 		}
 		wall := time.Since(start)
+		// The manager observes every finished job into this histogram.
+		latency := met.Histogram("job_latency_ms")
 
 		row := ServiceRow{
 			Workers:    workers,
 			Jobs:       jobs,
 			Wall:       wall,
 			JobsPerSec: float64(jobs) / wall.Seconds(),
-			P50:        met.Gauge("job_latency_p50_ms").Value(),
-			P99:        met.Gauge("job_latency_p99_ms").Value(),
+			P50:        int64(math.Round(latency.Quantile(0.50))),
+			P99:        int64(math.Round(latency.Quantile(0.99))),
 			AllDone:    true,
 			Invariant:  true,
 		}

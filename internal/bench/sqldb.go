@@ -157,35 +157,12 @@ func pointLookupMicrobench(opt Options) (EngineRow, error) {
 		}
 		stmts[k] = stmt
 	}
-	ctx := context.Background()
-	run := func(mode sqldb.ExecMode) (time.Duration, error) {
-		db.SetExecMode(mode)
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := db.Execute(ctx, stmts[i%len(stmts)]); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start), nil
-	}
-	before := db.EngineCounters()
-	treeTime, err := run(sqldb.ExecTree)
-	if err != nil {
-		return EngineRow{}, fmt.Errorf("point-lookup microbench under tree engine: %w", err)
-	}
-	vecTime, err := run(sqldb.ExecVector)
-	if err != nil {
-		return EngineRow{}, fmt.Errorf("point-lookup microbench under vector engine: %w", err)
-	}
-	after := db.EngineCounters()
-	return EngineRow{
-		Case:        fmt.Sprintf("point-lookup/%drows", rows),
-		Tree:        treeTime,
-		Vector:      vecTime,
-		Speedup:     float64(treeTime) / float64(vecTime),
-		IndexBuilds: after.IndexBuilds - before.IndexBuilds,
-		IndexHits:   after.IndexHits - before.IndexHits,
-	}, nil
+	return runEngineMicrobench(microbenchSpec{
+		name:  fmt.Sprintf("point-lookup/%drows", rows),
+		db:    db,
+		stmts: stmts,
+		iters: iters,
+	})
 }
 
 // microbenchSpec describes one tree-vs-vector query-shape benchmark:

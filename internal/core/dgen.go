@@ -63,7 +63,9 @@ func (d *dgen) setComponentKeys(comp *joinComponent, keys []int64, rowsOf func(s
 
 // materialize builds the database instance: the schema of the silo
 // with the described rows in the extracted tables (other tables stay
-// empty — they are not referenced by the query).
+// empty — they are not referenced by the query). Each column's value
+// source — its explicit sequence, the join key 1, or its default
+// s-value — is resolved once per table, not once per cell.
 func (s *Session) materialize(d *dgen) (*sqldb.Database, error) {
 	db := s.silo.CloneSchema()
 	for _, t := range s.tables {
@@ -76,26 +78,38 @@ func (s *Session) materialize(d *dgen) (*sqldb.Database, error) {
 			return nil, err
 		}
 		schema := s.schemas[t]
+		seqs := make([][]sqldb.Value, len(schema.Columns))
+		row := make([]sqldb.Value, len(schema.Columns))
+		for ci, cdef := range schema.Columns {
+			col := sqldb.ColRef{Table: t, Column: cdef.Name}
+			if vals, ok := d.vals[col]; ok {
+				if len(vals) == 0 {
+					return nil, fmt.Errorf("dgen: column %s has %d values for %d rows", col, len(vals), n)
+				}
+				seqs[ci] = vals
+				continue
+			}
+			if s.inJoinGraph(col) {
+				row[ci] = sqldb.NewInt(1)
+				continue
+			}
+			v, err := s.defaultValue(col)
+			if err != nil {
+				return nil, fmt.Errorf("dgen: %w", err)
+			}
+			row[ci] = v
+		}
+		// Insert copies row, so one buffer serves every row: constant
+		// columns keep their value, sequenced ones are overwritten.
 		for i := 0; i < n; i++ {
-			row := make([]sqldb.Value, len(schema.Columns))
-			for ci, cdef := range schema.Columns {
-				col := sqldb.ColRef{Table: t, Column: cdef.Name}
-				if vals, ok := d.vals[col]; ok {
-					if i >= len(vals) {
-						return nil, fmt.Errorf("dgen: column %s has %d values for %d rows", col, len(vals), n)
-					}
-					row[ci] = vals[i]
+			for ci, vals := range seqs {
+				if vals == nil {
 					continue
 				}
-				if s.inJoinGraph(col) {
-					row[ci] = sqldb.NewInt(1)
-					continue
+				if i >= len(vals) {
+					return nil, fmt.Errorf("dgen: column %s has %d values for %d rows", sqldb.ColRef{Table: t, Column: schema.Columns[ci].Name}, len(vals), n)
 				}
-				v, err := s.defaultValue(col)
-				if err != nil {
-					return nil, fmt.Errorf("dgen: %w", err)
-				}
-				row[ci] = v
+				row[ci] = vals[i]
 			}
 			if err := tbl.Insert(row...); err != nil {
 				return nil, fmt.Errorf("dgen: %w", err)

@@ -35,9 +35,12 @@ import (
 // flight. Each probe runs against a shared-row clone of the provided
 // instance (sqldb.CloneShared) carrying only its renames, which costs
 // O(tables) setup regardless of instance size. The working silo is
-// built afterwards carrying only the contents of T_E — copying the
-// full instance row-wise would double peak memory for nothing, since
-// the query never reads the other tables.
+// built afterwards with sqldb.CloneTables: every table's schema, and
+// rows only for T_E, which the silo shares with the provided instance
+// instead of copying. The minimizer's sampling and halving only
+// rearrange row sets, so nothing is copied until D_1 stands; the
+// minimizer then deep-copies its few surviving rows before any later
+// phase can write to them.
 func (s *Session) extractFromClause() error {
 	names := s.source.TableNames()
 	gt := &groupTester{s: s}

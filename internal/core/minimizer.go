@@ -16,6 +16,11 @@ import (
 // holds and the minimizer falls back to verified halving plus row-
 // wise removal, stopping at a row-minimal (not necessarily
 // single-row) database.
+//
+// The silo shares D_I's row values (CloneTables), and every step here
+// is a row-set operation that leaves them untouched. Once D_1 stands,
+// its few surviving rows are deep-copied, so no later write to D_1
+// can reach D_I.
 func (s *Session) minimize() error {
 	if !s.cfg.DisableSampling {
 		if err := s.timed(&s.stats.Sampling, s.samplePhase); err != nil {
@@ -27,6 +32,13 @@ func (s *Session) minimize() error {
 		return moduleErr("minimizer/partitioning", err)
 	}
 	s.stats.RowsFinal = s.silo.TotalRows()
+	for _, t := range s.tables {
+		tbl, err := s.silo.Table(t)
+		if err != nil {
+			return moduleErr("minimizer", err)
+		}
+		tbl.Detach()
+	}
 
 	res, err := s.mustResult(nil, s.silo)
 	if err != nil {
@@ -72,8 +84,7 @@ func (s *Session) samplePhase() error {
 			return err
 		}
 		backup := tbl.SnapshotRows()
-		tbl.SetRows(sqldb.CopyRows(backup))
-		tbl.Sample(s.cfg.SampleFraction, s.rng)
+		tbl.Sample(s.cfg.SampleFraction, s.rng) // fresh slice; backup intact
 		ok, err := s.populated(nil, s.silo)
 		if err != nil {
 			return err

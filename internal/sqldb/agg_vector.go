@@ -1,17 +1,16 @@
 package sqldb
 
-import (
-	"context"
-	"strings"
-)
+import "context"
 
 // agg_vector.go — vectorized hash aggregation.
 //
 // aggregateVector replaces the tree engine's row-at-a-time aggregate()
 // for the vector path: grouping keys and aggregate arguments are each
-// evaluated as one vector over the joined batch, then folded into the
-// same aggAcc accumulators the tree engine uses, with typed fast
-// paths for the hot adds (COUNT/SUM over unboxed columns). Group key
+// evaluated as one vector over the joined-tuple batch, then folded
+// into the same aggAcc accumulators the tree engine uses, with typed
+// fast paths for the hot adds (COUNT/SUM over unboxed columns). The
+// only wide row built is each group's representative, which
+// finalizeGroups evaluates HAVING and the select list against. Group key
 // strings, first-seen group order, accumulator semantics and the
 // empty-input corner are byte-identical to the tree engine — both
 // paths then share finalizeGroups for HAVING and item evaluation, so
@@ -22,14 +21,14 @@ import (
 // engines may surface a different error first, but whether an error
 // occurs is identical (the differential harness's contract).
 
-func (ex *execution) aggregateVector(ctx context.Context, rows []Row, types []Type, ticks *int) (*Result, error) {
-	if err := chargeTicks(ctx, ticks, len(rows)); err != nil {
+func (ex *execution) aggregateVector(ctx context.Context, tup *tuples, sel []int32, ticks *int) (*Result, error) {
+	if err := chargeTicks(ctx, ticks, len(sel)); err != nil {
 		return nil, err
 	}
 	groups := map[string]*group{}
 	var order []string
-	if len(rows) > 0 {
-		b := newWideBatch(rows, types, identitySel(len(rows)), ex.db.estats)
+	if len(sel) > 0 {
+		b := newTupleBatch(tup, sel, ex.db.estats)
 		keyVecs := make([]*vec, len(ex.stmt.GroupBy))
 		for i, g := range ex.stmt.GroupBy {
 			v, err := ex.evalVec(g, b)
@@ -49,19 +48,20 @@ func (ex *execution) aggregateVector(ctx context.Context, rows []Row, types []Ty
 			}
 			argVecs[i] = v
 		}
-		var kb strings.Builder
-		for k := range rows {
-			kb.Reset()
+		var key []byte
+		for k := range sel {
+			key = key[:0]
 			for _, v := range keyVecs {
-				kb.WriteString(v.valueAt(k).GroupKey())
-				kb.WriteByte('|')
+				key = append(appendGroupKey(key, v.valueAt(k)), '|')
 			}
-			key := kb.String()
-			grp, ok := groups[key]
+			grp, ok := groups[string(key)]
 			if !ok {
-				grp = &group{rep: rows[k], accs: make([]aggAcc, len(ex.aggs))}
-				groups[key] = grp
-				order = append(order, key)
+				// The representative wide row is the only row this
+				// stage materializes: one per group.
+				ks := string(key)
+				grp = &group{rep: tup.wide(sel[k]), accs: make([]aggAcc, len(ex.aggs))}
+				groups[ks] = grp
+				order = append(order, ks)
 			}
 			for i, ag := range ex.aggs {
 				if ag.Star {
@@ -72,7 +72,7 @@ func (ex *execution) aggregateVector(ctx context.Context, rows []Row, types []Ty
 			}
 		}
 	}
-	return ex.finalizeGroups(groups, order, len(rows))
+	return ex.finalizeGroups(groups, order, len(sel))
 }
 
 // addVec folds element k of v into the accumulator. Unboxed typed

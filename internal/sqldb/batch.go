@@ -2,18 +2,20 @@ package sqldb
 
 // batch.go — typed column batches for the vectorized engine.
 //
-// A batch exposes a row source, restricted to a selection of row ids,
-// as typed column vectors: per-column value slices plus a validity
-// (null) bitmap, gathered lazily on first reference. The vectorized
+// A batch exposes a row source, restricted to a selection, as typed
+// column vectors: per-column value slices plus a validity (null)
+// bitmap, gathered lazily on first reference. The vectorized
 // predicate evaluator (vector.go) computes over these instead of
 // per-row []Value wide rows, which removes the tree engine's dominant
 // allocation (one width-sized Row per scanned row).
 //
-// Two sources exist: a table (scan-side batches, addressing the
-// table's own columns) and a slice of joined wide rows (post-join
-// batches, addressing every wide-row slot). Both store values coerced
-// to their column's schema type, so the typed fast paths apply to
-// either.
+// Two sources exist. A table source (scan-side batches) selects row
+// ids and addresses the table's own columns. A joined-tuple source
+// (post-join batches) selects tuple positions of the late-materialized
+// join result and addresses every wide-row slot, reading each value
+// straight from its base table through the tuple's row id — no wide
+// row is ever built for it. Both sources hold values coerced to their
+// column's schema type, so the typed fast paths apply to either.
 
 // vec is one column vector: len(sel) logical elements of a single
 // type. Storage is typed — ints carries TInt/TDate/TBool payloads,
@@ -111,17 +113,46 @@ func constVec(val Value, n int) *vec {
 	return &vec{typ: val.Typ, n: n, isConst: true, vals: []Value{val}}
 }
 
+// tuples is the vector join's late-materialized result: for every
+// from-clause table, the row id it contributes to each joined tuple,
+// aligned by tuple position. A column of the join result is read
+// through these ids from the base table, so the join never copies a
+// row; wide rows are built only where a consumer needs one (one per
+// aggregation group, via wide).
+type tuples struct {
+	tbls  []*Table  // per from-clause table
+	offs  []int     // per from-clause table: first wide-row slot
+	ids   [][]int32 // per from-clause table: row id of each tuple
+	slotT []int     // wide slot -> from-clause table position
+	slotC []int     // wide slot -> local column index
+	types []Type    // wide slot -> schema type
+}
+
+// value reads wide slot `slot` of tuple i.
+func (tp *tuples) value(i int32, slot int) Value {
+	t := tp.slotT[slot]
+	return tp.tbls[t].Rows[tp.ids[t][i]][tp.slotC[slot]]
+}
+
+// wide materializes tuple i as a wide row.
+func (tp *tuples) wide(i int32) Row {
+	w := make(Row, len(tp.slotT))
+	for t, tbl := range tp.tbls {
+		copy(w[tp.offs[t]:], tbl.Rows[tp.ids[t][i]])
+	}
+	return w
+}
+
 // batch is a row source restricted to a selection, with lazily
 // gathered column vectors aligned to that selection. Exactly one of
-// tbl/rows is set.
+// tbl/tup is set.
 type batch struct {
-	tbl   *Table // table source (scan-side batches)
-	rows  []Row  // wide-row source (post-join batches)
-	types []Type // wide-row source: schema type of every slot
-	name  string // source name for resolution error messages
+	tbl  *Table  // table source (scan-side batches): sel holds row ids
+	tup  *tuples // joined-tuple source (post-join batches): sel holds tuple positions
+	name string  // source name for resolution error messages
 
 	off int     // first wide-row slot addressed by this batch
-	sel []int32 // selected row ids, ascending scan order
+	sel []int32 // selected row ids or tuple positions, ascending
 	es  *EngineStats
 
 	cols map[int]*vec // local column index -> gathered vector
@@ -131,12 +162,12 @@ func newBatch(tbl *Table, off int, sel []int32, es *EngineStats) *batch {
 	return &batch{tbl: tbl, name: tbl.Schema.Name, off: off, sel: sel, es: es, cols: map[int]*vec{}}
 }
 
-// newWideBatch exposes joined wide rows as a batch: every slot is
-// addressable (off 0), typed by the owning column's schema type. The
-// post-join stages (residual, aggregation, projection, ordering)
-// evaluate over these.
-func newWideBatch(rows []Row, types []Type, sel []int32, es *EngineStats) *batch {
-	return &batch{rows: rows, types: types, name: "the join result", sel: sel, es: es, cols: map[int]*vec{}}
+// newTupleBatch exposes the selected joined tuples as a batch: every
+// wide-row slot is addressable (off 0), typed by the owning column's
+// schema type. The post-join stages (residual, aggregation,
+// projection, ordering) evaluate over these.
+func newTupleBatch(tup *tuples, sel []int32, es *EngineStats) *batch {
+	return &batch{tup: tup, name: "the join result", sel: sel, es: es, cols: map[int]*vec{}}
 }
 
 // ncol reports the number of addressable local columns.
@@ -144,7 +175,7 @@ func (b *batch) ncol() int {
 	if b.tbl != nil {
 		return len(b.tbl.Schema.Columns)
 	}
-	return len(b.types)
+	return len(b.tup.types)
 }
 
 // sub derives a batch over the same source restricted to subSel.
@@ -161,13 +192,11 @@ func (b *batch) col(ci int) *vec {
 		return v
 	}
 	n := len(b.sel)
-	src := b.rows
-	typ := TUnknown
+	var typ Type
 	if b.tbl != nil {
-		src = b.tbl.Rows
 		typ = b.tbl.Schema.Columns[ci].Type
 	} else {
-		typ = b.types[ci]
+		typ = b.tup.types[ci]
 	}
 	v := &vec{typ: typ, n: n}
 	switch typ {
@@ -178,25 +207,38 @@ func (b *batch) col(ci int) *vec {
 	default:
 		v.ints = make([]int64, n)
 	}
-	for k, ri := range b.sel {
-		val := src[ri][ci]
-		if val.Null {
-			if v.null == nil {
-				v.null = make([]bool, n)
-			}
-			v.null[k] = true
-			continue
+	if b.tbl != nil {
+		rows := b.tbl.Rows
+		for k, ri := range b.sel {
+			v.put(k, rows[ri][ci])
 		}
-		switch typ {
-		case TFloat:
-			v.floats[k] = val.F
-		case TText:
-			v.strs[k] = val.S
-		default:
-			v.ints[k] = val.I
+	} else {
+		t := b.tup.slotT[ci]
+		rows, ids, lc := b.tup.tbls[t].Rows, b.tup.ids[t], b.tup.slotC[ci]
+		for k, i := range b.sel {
+			v.put(k, rows[ids[i]][lc])
 		}
 	}
 	b.cols[ci] = v
 	b.es.VectorBatches.Add(1)
 	return v
+}
+
+// put stores val as element k of a typed (gathered) vector.
+func (v *vec) put(k int, val Value) {
+	if val.Null {
+		if v.null == nil {
+			v.null = make([]bool, v.n)
+		}
+		v.null[k] = true
+		return
+	}
+	switch v.typ {
+	case TFloat:
+		v.floats[k] = val.F
+	case TText:
+		v.strs[k] = val.S
+	default:
+		v.ints[k] = val.I
+	}
 }

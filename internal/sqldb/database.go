@@ -285,9 +285,15 @@ func (db *Database) CloneSchema() *Database {
 	return out
 }
 
-// CloneTables copies the schema of every table but the rows of only
-// the named subset; other tables stay empty. The extractor uses this
-// to carve the relevant part of D_I into the silo cheaply.
+// CloneTables copies the schema of every table but carries the rows
+// of only the named subset; other tables stay empty. The extractor
+// uses this to carve the relevant part of D_I into the silo cheaply:
+// the named tables are fresh Table structs that share db's row slices
+// (see shareRows), so the carve costs O(tables), not O(rows). Only the
+// named tables fault in from an attached store, and advised index
+// payloads are shared as for Clone. Row-set operations (SetRows,
+// Sample, KeepRange, Truncate, DeleteRow, Insert) on the clone leave
+// db intact; call Table.Detach before mutating values.
 func (db *Database) CloneTables(withRows map[string]bool) *Database {
 	for name := range withRows {
 		if withRows[name] {
@@ -299,7 +305,7 @@ func (db *Database) CloneTables(withRows map[string]bool) *Database {
 	out := db.newLike()
 	for _, n := range db.order {
 		if withRows[n] {
-			out.tables[n] = db.tables[n].Clone()
+			out.tables[n] = db.tables[n].shareRows()
 			db.shareAdvisedLocked(n, db.tables[n], out.tables[n])
 		} else {
 			out.tables[n] = NewTable(db.tables[n].Schema)

@@ -142,7 +142,34 @@ func edgeDB(t *testing.T) *sqldb.Database {
 		{Name: "k", Type: sqldb.TInt},
 		{Name: "z", Type: sqldb.TInt},
 	}})
+	// j carries one join-key column per type class (and NULLs in the
+	// int and text keys) for the typed hash-join paths.
+	mustCreate(sqldb.TableSchema{Name: "j", Columns: []sqldb.Column{
+		{Name: "jid", Type: sqldb.TInt},
+		{Name: "ja", Type: sqldb.TInt},
+		{Name: "jc", Type: sqldb.TInt},
+		{Name: "jf", Type: sqldb.TFloat},
+		{Name: "jd", Type: sqldb.TDate},
+		{Name: "jb", Type: sqldb.TBool},
+		{Name: "js", Type: sqldb.TText},
+	}})
 	words := []string{"alpha", "beta", "gamma", "delta"}
+	for i := 0; i < 12; i++ {
+		ja := sqldb.NewInt(int64(i * 3 % 17))
+		if i%5 == 4 {
+			ja = sqldb.NewNull(sqldb.TInt)
+		}
+		js := sqldb.NewText(words[i%len(words)])
+		if i%3 == 2 {
+			js = sqldb.NewNull(sqldb.TText)
+		}
+		if err := db.Insert("j",
+			sqldb.NewInt(int64(i)), ja, sqldb.NewInt(int64(i%4)),
+			sqldb.NewFloat(float64(i)), sqldb.NewDate(int64(i*2)),
+			sqldb.NewBool(i%3 == 0), js); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for i := 0; i < 40; i++ {
 		s := sqldb.NewText(words[i%len(words)])
 		if i%7 == 3 {
@@ -236,6 +263,18 @@ func TestEngineDiffEdgeCases(t *testing.T) {
 		{"div-by-zero-error", "select id from t where v / 0.0 > 1.0 and id >= 0"},
 		{"div-by-zero-unreached", "select id from t where id < 0 and v / 0.0 > 1.0"},
 		{"or-short-circuit", "select id from t where id >= 0 or v / 0.0 > 1.0"},
+		// Join key shapes: integer-class pairs take the int64 hash
+		// path, everything else the GroupKey string path.
+		{"join-int-eq-float", "select t.id, j.jf from t, j where t.id = j.jf"},
+		{"join-date-eq-int", "select t.id, j.jd from t, j where t.id = j.jd"},
+		{"join-bool-eq-int", "select t.id, j.jb from t, j where j.jb = t.grp"},
+		{"join-text-eq-text", "select t.id, u.lbl from t, u where t.s = u.lbl"},
+		{"join-two-column-key", "select t.id, u.w from t, u where t.id = u.fk and t.grp = u.w"},
+		{"join-three-table-cycle", "select t.id, u.w, j.jid from t, u, j where t.id = u.fk and u.w = j.ja and j.jc = t.grp"},
+		{"join-null-probe-int", "select j.jid, t.id from j, t where j.ja = t.id"},
+		{"join-null-probe-text", "select j.jid, u.w from j, u where j.js = u.lbl"},
+		{"join-group-per-tuple", "select j.jid, t.id, sum(t.v), count(t.s) from j, t where j.ja = t.id group by j.jid, t.id"},
+		{"join-order-hidden-limit", "select t.id, u.w from t, u where t.id = u.fk order by t.v * u.w desc, u.lbl limit 7"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { compareSQL(t, db, tc.name, tc.sql) })

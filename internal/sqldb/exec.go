@@ -707,19 +707,6 @@ func (ex *execution) outputColumns() []string {
 	return cols
 }
 
-// wideTypes returns the schema type of every wide-row slot; the
-// vector engine's post-join batches type their columns from it.
-func (ex *execution) wideTypes() []Type {
-	types := make([]Type, ex.width)
-	for _, t := range ex.tables {
-		off := ex.offsets[t]
-		for i, c := range ex.schemas[t].Columns {
-			types[off+i] = c.Type
-		}
-	}
-	return types
-}
-
 // group accumulates one hash-aggregation bucket.
 type group struct {
 	rep  Row // representative input row

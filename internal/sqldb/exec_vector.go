@@ -1,9 +1,6 @@
 package sqldb
 
-import (
-	"context"
-	"strings"
-)
+import "context"
 
 // exec_vector.go — the vectorized, index-assisted execution engine.
 //
@@ -15,12 +12,18 @@ import (
 //     secondary indexes (hash for equality, sorted for
 //     BETWEEN/inequality ranges) serving eligible predicates;
 //   - the greedy hash join runs over row-id tuple columns and reuses
-//     cached build sides, materializing wide rows only for tuples
-//     that survive every join;
+//     cached build sides; a single integer-class key hashes on its
+//     int64 payload, every other key shape on GroupKey strings. The
+//     join result stays late-materialized — per-table row-id columns
+//     plus a selection of surviving tuple positions — and no wide row
+//     is built for it;
 //   - the post-join tail (residual predicates, aggregation,
 //     projection, ORDER BY, LIMIT) evaluates batch-at-a-time in
-//     finishVector, with a top-K heap short-circuiting ordered
-//     limited queries.
+//     finishVector over joined-tuple batches, which read every column
+//     straight from its base table through the tuple's row id, with a
+//     top-K heap short-circuiting ordered limited queries.
+//     Aggregation builds one wide row per group (its representative);
+//     nothing else materializes one.
 //
 // The tree engine is the differential oracle: every stage here must
 // match it on digests, column names, row order and error presence
@@ -51,11 +54,11 @@ func (ex *execution) runVector(ctx context.Context, ticks *int) (*Result, error)
 		}
 		sels[t] = sel
 	}
-	current, err := ex.joinVector(ctx, sels, ticks)
+	tup, sel, err := ex.joinVector(ctx, sels, ticks)
 	if err != nil {
 		return nil, err
 	}
-	return ex.finishVector(ctx, current, ticks)
+	return ex.finishVector(ctx, tup, sel, ticks)
 }
 
 // identitySel returns the selection covering rows [0, n).
@@ -401,18 +404,32 @@ func (ex *execution) operandClass(e Expr) (Type, bool) {
 // columnar tuples: one []int32 of row ids per joined table, aligned
 // by tuple position. Build sides come from the per-table cache, so a
 // probe re-executed on an unchanged (or non-key-mutated) clone
-// rebuilds nothing. Wide rows materialize only after every join and
-// cycle edge has been applied. Ticks are charged per logical row
-// exactly as the tree engine's per-row checkCtx calls do: build side
-// size per hash join, probe-tuple count per probe pass, pair count
-// per cross product — independent of build-cache hits.
-func (ex *execution) joinVector(ctx context.Context, sels map[string][]int32, ticks *int) ([]Row, error) {
-	// Reverse slot mapping for probe-side key construction.
-	slotTab := make([]string, ex.width)
-	for _, t := range ex.tables {
+// rebuilds nothing. The result stays late-materialized: the returned
+// tuples plus the selection of tuple positions that satisfy every
+// cycle edge not consumed as a hash key; no wide row is built. Ticks
+// are charged per logical row exactly as the tree engine's per-row
+// checkCtx calls do: build side size per hash join, probe-tuple count
+// per probe pass, pair count per cross product — independent of
+// build-cache hits.
+func (ex *execution) joinVector(ctx context.Context, sels map[string][]int32, ticks *int) (*tuples, []int32, error) {
+	pos := make(map[string]int, len(ex.tables))
+	tup := &tuples{
+		tbls:  make([]*Table, len(ex.tables)),
+		offs:  make([]int, len(ex.tables)),
+		ids:   make([][]int32, len(ex.tables)),
+		slotT: make([]int, ex.width),
+		slotC: make([]int, ex.width),
+		types: make([]Type, ex.width),
+	}
+	for ti, t := range ex.tables {
+		pos[t] = ti
+		tup.tbls[ti] = ex.db.tables[t]
 		off := ex.offsets[t]
-		for i := range ex.schemas[t].Columns {
-			slotTab[off+i] = t
+		tup.offs[ti] = off
+		for ci, c := range ex.schemas[t].Columns {
+			tup.slotT[off+ci] = ti
+			tup.slotC[off+ci] = ci
+			tup.types[off+ci] = c.Type
 		}
 	}
 
@@ -428,7 +445,7 @@ func (ex *execution) joinVector(ctx context.Context, sels map[string][]int32, ti
 	}
 	delete(remaining, start)
 	joined := map[string]bool{start: true}
-	cols := map[string][]int32{start: sels[start]}
+	tup.ids[pos[start]] = sels[start]
 	tupLen := len(sels[start])
 
 	for len(remaining) > 0 {
@@ -461,152 +478,164 @@ func (ex *execution) joinVector(ctx context.Context, sels map[string][]int32, ti
 			}
 		}
 		delete(remaining, next)
-		nOff := ex.offsets[next]
-		nTbl := ex.db.tables[next]
 
+		// Each output tuple extends probe tuple probeOf[j] with row
+		// nextIDs[j] of next; the joined tables' id columns are
+		// gathered through probeOf afterwards.
+		var probeOf, nextIDs []int32
 		if cross {
 			if err := chargeTicks(ctx, ticks, tupLen*len(sels[next])); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			out := map[string][]int32{}
-			for t := range joined {
-				out[t] = nil
-			}
-			out[next] = nil
-			newLen := 0
 			for i := 0; i < tupLen; i++ {
 				for _, rid := range sels[next] {
-					for t := range joined {
-						out[t] = append(out[t], cols[t][i])
-					}
-					out[next] = append(out[next], rid)
-					newLen++
+					probeOf = append(probeOf, int32(i))
+					nextIDs = append(nextIDs, rid)
 				}
 			}
-			cols = out
-			tupLen = newLen
-			joined[next] = true
-			continue
-		}
-
-		var probeIdx, buildLocal []int
-		for i := range ex.joins {
-			e := &ex.joins[i]
-			switch {
-			case joined[e.lt] && e.rt == next:
-				probeIdx = append(probeIdx, e.li)
-				buildLocal = append(buildLocal, e.ri-nOff)
-				e.used = true
-			case joined[e.rt] && e.lt == next:
-				probeIdx = append(probeIdx, e.ri)
-				buildLocal = append(buildLocal, e.li-nOff)
-				e.used = true
+		} else {
+			var err error
+			probeOf, nextIDs, err = ex.hashJoin(ctx, tup, tupLen, joined, next, sels[next], ticks)
+			if err != nil {
+				return nil, nil, err
 			}
 		}
-		if err := chargeTicks(ctx, ticks, len(sels[next])); err != nil {
-			return nil, err
-		}
-		build := nTbl.joinBuildFor(buildLocal, sels[next], ex.db.estats)
-		if err := chargeTicks(ctx, ticks, tupLen); err != nil {
-			return nil, err
-		}
-		out := map[string][]int32{}
-		for t := range joined {
-			out[t] = nil
-		}
-		out[next] = nil
-		newLen := 0
-		var kb strings.Builder
-		for i := 0; i < tupLen; i++ {
-			kb.Reset()
-			nullKey := false
-			for _, p := range probeIdx {
-				pt := slotTab[p]
-				v := ex.db.tables[pt].Rows[cols[pt][i]][p-ex.offsets[pt]]
-				if v.Null {
-					nullKey = true
-					break
-				}
-				kb.WriteString(v.GroupKey())
-				kb.WriteByte('|')
-			}
-			if nullKey {
+		// Gather the joined tables' id columns through probeOf.
+		for ti, t := range ex.tables {
+			if !joined[t] {
 				continue
 			}
-			for _, rid := range build[kb.String()] {
-				for t := range joined {
-					out[t] = append(out[t], cols[t][i])
-				}
-				out[next] = append(out[next], rid)
-				newLen++
+			src := tup.ids[ti]
+			ids := make([]int32, len(probeOf))
+			for j, i := range probeOf {
+				ids[j] = src[i]
 			}
+			tup.ids[ti] = ids
 		}
-		cols = out
-		tupLen = newLen
+		tup.ids[pos[next]] = nextIDs
+		tupLen = len(probeOf)
 		joined[next] = true
 	}
 
-	// Enforce cycle edges not consumed as hash keys.
-	valAt := func(i, slot int) Value {
-		t := slotTab[slot]
-		return ex.db.tables[t].Rows[cols[t][i]][slot-ex.offsets[t]]
-	}
+	// Enforce cycle edges not consumed as hash keys by narrowing the
+	// tuple selection.
+	sel := identitySel(tupLen)
 	var unused []joinEdge
 	for _, e := range ex.joins {
 		if !e.used {
 			unused = append(unused, e)
 		}
 	}
-	keepTuple := make([]bool, tupLen)
-	kept := 0
-	for i := 0; i < tupLen; i++ {
-		ok := true
-		for _, e := range unused {
-			if !Equal(valAt(i, e.li), valAt(i, e.ri)) {
-				ok = false
-				break
+	if len(unused) > 0 {
+		kept := sel[:0]
+		for _, i := range sel {
+			ok := true
+			for _, e := range unused {
+				if !Equal(tup.value(i, e.li), tup.value(i, e.ri)) {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				kept = append(kept, i)
 			}
 		}
-		keepTuple[i] = ok
-		if ok {
-			kept++
-		}
+		sel = kept
 	}
-
-	// Materialize wide rows for surviving tuples only. No ticks: the
-	// tree engine charges nothing for this stage either.
-	current := make([]Row, 0, kept)
-	for i := 0; i < tupLen; i++ {
-		if !keepTuple[i] {
-			continue
-		}
-		wide := make(Row, ex.width)
-		for _, t := range ex.tables {
-			copy(wide[ex.offsets[t]:], ex.db.tables[t].Rows[cols[t][i]])
-		}
-		current = append(current, wide)
-	}
-	return current, nil
+	return tup, sel, nil
 }
+
+// hashJoin extends the tupLen joined tuples with table next, keyed on
+// every join edge connecting next to the joined set (marking those
+// edges used). Output tuple j extends probe tuple probeOf[j] with row
+// nextIDs[j] of next, in probe order x bucket order — the tree
+// engine's emission order.
+func (ex *execution) hashJoin(ctx context.Context, tup *tuples, tupLen int, joined map[string]bool, next string, nextSel []int32, ticks *int) ([]int32, []int32, error) {
+	nOff := ex.offsets[next]
+	nTbl := ex.db.tables[next]
+	var probeIdx, buildLocal []int
+	for i := range ex.joins {
+		e := &ex.joins[i]
+		switch {
+		case joined[e.lt] && e.rt == next:
+			probeIdx = append(probeIdx, e.li)
+			buildLocal = append(buildLocal, e.ri-nOff)
+			e.used = true
+		case joined[e.rt] && e.lt == next:
+			probeIdx = append(probeIdx, e.ri)
+			buildLocal = append(buildLocal, e.li-nOff)
+			e.used = true
+		}
+	}
+	if err := chargeTicks(ctx, ticks, len(nextSel)); err != nil {
+		return nil, nil, err
+	}
+	intKey := len(probeIdx) == 1 && intClass(tup.types[probeIdx[0]]) &&
+		intClass(nTbl.Schema.Columns[buildLocal[0]].Type)
+	var buildI map[int64][]int32
+	var buildS map[string][]int32
+	if intKey {
+		buildI = nTbl.joinBuildInt(buildLocal[0], nextSel, ex.db.estats)
+	} else {
+		buildS = nTbl.joinBuildFor(buildLocal, nextSel, ex.db.estats)
+	}
+	if err := chargeTicks(ctx, ticks, tupLen); err != nil {
+		return nil, nil, err
+	}
+	var probeOf, nextIDs []int32
+	var key []byte
+	for i := 0; i < tupLen; i++ {
+		var bucket []int32
+		if intKey {
+			v := tup.value(int32(i), probeIdx[0])
+			if v.Null {
+				continue // NULL join key never matches
+			}
+			bucket = buildI[v.I]
+		} else {
+			key = key[:0]
+			nullKey := false
+			for _, p := range probeIdx {
+				v := tup.value(int32(i), p)
+				if v.Null {
+					nullKey = true
+					break
+				}
+				key = append(appendGroupKey(key, v), '|')
+			}
+			if nullKey {
+				continue
+			}
+			bucket = buildS[string(key)]
+		}
+		for _, rid := range bucket {
+			probeOf = append(probeOf, int32(i))
+			nextIDs = append(nextIDs, rid)
+		}
+	}
+	return probeOf, nextIDs, nil
+}
+
+// intClass reports whether a column type stores its payload in I and
+// renders its GroupKey as "i"+digits — the key shapes an int64 hash
+// join matches exactly as the GroupKey string join does.
+func intClass(t Type) bool { return t == TInt || t == TDate || t == TBool }
 
 // finishVector is the vector engine's post-join tail: the same
 // residual → aggregate/project → order → limit pipeline as finish(),
-// evaluated batch-at-a-time over the joined wide rows. Stage
+// evaluated batch-at-a-time over the selected joined tuples. Stage
 // semantics — which (row, expression) pairs get evaluated, grouping
 // key equality and first-seen order, ordering ties, the empty-input
 // aggregation corner — replicate the tree engine exactly.
-func (ex *execution) finishVector(ctx context.Context, current []Row, ticks *int) (*Result, error) {
-	types := ex.wideTypes()
-
+func (ex *execution) finishVector(ctx context.Context, tup *tuples, sel []int32, ticks *int) (*Result, error) {
 	// 3. Residual predicates, vectorized over a narrowing selection.
 	if len(ex.residual) > 0 {
 		// One tick per joined row, like finish(): the charge does not
 		// depend on the predicate count in either engine.
-		if err := chargeTicks(ctx, ticks, len(current)); err != nil {
+		if err := chargeTicks(ctx, ticks, len(sel)); err != nil {
 			return nil, err
 		}
-		sel := identitySel(len(current))
-		b := newWideBatch(current, types, sel, ex.db.estats)
+		b := newTupleBatch(tup, sel, ex.db.estats)
 		for _, p := range ex.residual {
 			if len(sel) == 0 {
 				break
@@ -624,20 +653,15 @@ func (ex *execution) finishVector(ctx context.Context, current []Row, ticks *int
 			sel = kept
 			b = b.sub(sel)
 		}
-		next := make([]Row, len(sel))
-		for i, ri := range sel {
-			next[i] = current[ri]
-		}
-		current = next
 	}
 
 	// 4. Grouping / aggregation, or plain projection.
 	var out *Result
 	var err error
 	if len(ex.stmt.GroupBy) > 0 || len(ex.aggs) > 0 {
-		out, err = ex.aggregateVector(ctx, current, types, ticks)
+		out, err = ex.aggregateVector(ctx, tup, sel, ticks)
 	} else {
-		out, err = ex.projectVector(ctx, current, types, ticks)
+		out, err = ex.projectVector(ctx, tup, sel, ticks)
 	}
 	if err != nil {
 		return nil, err
@@ -645,7 +669,7 @@ func (ex *execution) finishVector(ctx context.Context, current []Row, ticks *int
 
 	// 5. Order by (with top-K short-circuit under LIMIT).
 	if len(ex.stmt.OrderBy) > 0 {
-		if err := ex.orderVector(out, current, types); err != nil {
+		if err := ex.orderVector(out, tup, sel); err != nil {
 			return nil, err
 		}
 	}
@@ -658,17 +682,18 @@ func (ex *execution) finishVector(ctx context.Context, current []Row, ticks *int
 	return out, nil
 }
 
-// projectVector emits one output row per input row (no aggregation),
-// evaluating each select item as one vector over the batch.
-func (ex *execution) projectVector(ctx context.Context, rows []Row, types []Type, ticks *int) (*Result, error) {
-	if err := chargeTicks(ctx, ticks, len(rows)); err != nil {
+// projectVector emits one output row per selected tuple (no
+// aggregation), evaluating each select item as one vector over the
+// batch.
+func (ex *execution) projectVector(ctx context.Context, tup *tuples, sel []int32, ticks *int) (*Result, error) {
+	if err := chargeTicks(ctx, ticks, len(sel)); err != nil {
 		return nil, err
 	}
 	res := &Result{Columns: ex.outputColumns()}
-	if len(rows) == 0 {
+	if len(sel) == 0 {
 		return res, nil
 	}
-	b := newWideBatch(rows, types, identitySel(len(rows)), ex.db.estats)
+	b := newTupleBatch(tup, sel, ex.db.estats)
 	vecs := make([]*vec, len(ex.stmt.Items))
 	for i, it := range ex.stmt.Items {
 		v, err := ex.evalVec(it.Expr, b)
@@ -677,8 +702,8 @@ func (ex *execution) projectVector(ctx context.Context, rows []Row, types []Type
 		}
 		vecs[i] = v
 	}
-	res.Rows = make([]Row, len(rows))
-	for k := range rows {
+	res.Rows = make([]Row, len(sel))
+	for k := range sel {
 		out := make(Row, len(vecs))
 		for i, v := range vecs {
 			out[i] = v.valueAt(k)

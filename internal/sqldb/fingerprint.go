@@ -107,20 +107,20 @@ func (f Fingerprint) Hex() string {
 // for a row copy, so a rename probe over the full provided instance
 // costs O(tables) setup regardless of its size.
 //
-// Callers must not mutate row contents through a shared clone (SetAll,
-// Set, NegateColumn, Insert and the minimizer primitives all write
-// through to the original); use Clone for a probe that rewrites
-// values.
+// Callers must not mutate row values through a shared clone (Set,
+// SetAll and NegateColumn write through to the original); use Clone,
+// or Table.Detach, for a probe that rewrites values. Row-set
+// operations (Insert, Truncate, SetRows, sampling, halving, row
+// deletion) build fresh slices and leave the original intact.
 func (db *Database) CloneShared() *Database {
 	db.ensureAll() // shared clones alias resident row slices
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	out := db.newLike()
 	for _, n := range db.order {
-		t := db.tables[n]
 		// Fresh Table struct: rows are shared, but index/build caches
 		// are not — a shared clone never inherits or leaks cache state.
-		out.tables[n] = &Table{Schema: t.Schema.Clone(), Rows: t.Rows}
+		out.tables[n] = db.tables[n].shareRows()
 		out.order = append(out.order, n)
 	}
 	return out

@@ -109,10 +109,16 @@ func (db *Database) EngineCounters() EngineCounters {
 // it was built from. Row ids (not rows) are stored, so value
 // mutations of non-key columns never stale an entry; row-set
 // mutations invalidate everything via the table's mutation hooks.
+//
+// Exactly one map is set. m keys on the concatenated GroupKeys of the
+// key columns; mi serves a single integer-class key column (TInt,
+// TDate, TBool — the types whose GroupKey is "i"+digits) by its int64
+// payload, so it holds exactly the buckets of the string build.
 type joinBuild struct {
 	cols []int   // local column indexes forming the key
 	sel  []int32 // the filtered row ids the map covers
 	m    map[string][]int32
+	mi   map[int64][]int32
 }
 
 // maxJoinBuilds caps the per-table build cache (FIFO eviction). Probe
@@ -421,11 +427,8 @@ func (t *Table) cachedIndex(ci int, eq bool) bool {
 func (t *Table) joinBuildFor(cols []int, sel []int32, es *EngineStats) map[string][]int32 {
 	t.idxMu.Lock()
 	defer t.idxMu.Unlock()
-	for _, b := range t.builds {
-		if intsEqual(b.cols, cols) && idsEqual(b.sel, sel) {
-			es.JoinReuses.Add(1)
-			return b.m
-		}
+	if b := t.cachedBuildLocked(cols, sel, false, es); b != nil {
+		return b.m
 	}
 	m := make(map[string][]int32, len(sel))
 	for _, ri := range sel {
@@ -435,13 +438,53 @@ func (t *Table) joinBuildFor(cols []int, sel []int32, es *EngineStats) map[strin
 		}
 		m[key] = append(m[key], ri)
 	}
-	b := &joinBuild{cols: append([]int(nil), cols...), sel: sel, m: m}
+	t.addBuildLocked(&joinBuild{cols: append([]int(nil), cols...), sel: sel, m: m}, es)
+	return m
+}
+
+// joinBuildInt is joinBuildFor for a single integer-class key column,
+// keyed by the int64 payload. Its entries share the build cache (and
+// the JoinBuilds/JoinReuses counters) with the string builds but
+// never satisfy a string-build lookup, nor the reverse.
+func (t *Table) joinBuildInt(ci int, sel []int32, es *EngineStats) map[int64][]int32 {
+	t.idxMu.Lock()
+	defer t.idxMu.Unlock()
+	cols := []int{ci}
+	if b := t.cachedBuildLocked(cols, sel, true, es); b != nil {
+		return b.mi
+	}
+	m := make(map[int64][]int32, len(sel))
+	for _, ri := range sel {
+		v := t.Rows[ri][ci]
+		if v.Null {
+			continue // NULL join key never matches
+		}
+		m[v.I] = append(m[v.I], ri)
+	}
+	t.addBuildLocked(&joinBuild{cols: cols, sel: sel, mi: m}, es)
+	return m
+}
+
+// cachedBuildLocked returns the cached build of the given kind for
+// (cols, sel), counting the reuse, or nil. Callers hold idxMu.
+func (t *Table) cachedBuildLocked(cols []int, sel []int32, ints bool, es *EngineStats) *joinBuild {
+	for _, b := range t.builds {
+		if (b.mi != nil) == ints && intsEqual(b.cols, cols) && idsEqual(b.sel, sel) {
+			es.JoinReuses.Add(1)
+			return b
+		}
+	}
+	return nil
+}
+
+// addBuildLocked caches a fresh build (FIFO eviction at the cap) and
+// counts it. Callers hold idxMu.
+func (t *Table) addBuildLocked(b *joinBuild, es *EngineStats) {
 	if len(t.builds) >= maxJoinBuilds {
 		t.builds = append(t.builds[:0], t.builds[1:]...)
 	}
 	t.builds = append(t.builds, b)
 	es.JoinBuilds.Add(1)
-	return m
 }
 
 func intsEqual(a, b []int) bool {

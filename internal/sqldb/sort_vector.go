@@ -11,7 +11,7 @@ import (
 // orderVector replicates orderResult: order keys matching an output
 // column (by alias or structural equality with a projection) sort on
 // output values; other keys are legal only before aggregation and are
-// evaluated vectorized over the joined input rows. Comparison
+// evaluated vectorized over the joined input tuples. Comparison
 // semantics are identical — NULLs sort first, comparison errors are
 // ignored (treated as ties, as orderResult has always done and the
 // differential harness pins), and full-key ties preserve input order
@@ -101,10 +101,10 @@ func (v *vec) cmpElems(a, b int) int {
 	return c
 }
 
-// orderVector sorts res.Rows in place. input is the joined wide-row
-// set aligned 1:1 with res.Rows in the non-aggregated case (the only
-// case where input-expression keys are legal).
-func (ex *execution) orderVector(res *Result, input []Row, types []Type) error {
+// orderVector sorts res.Rows in place. sel selects the joined tuples
+// aligned 1:1 with res.Rows in the non-aggregated case (the only case
+// where input-expression keys are legal).
+func (ex *execution) orderVector(res *Result, tup *tuples, sel []int32) error {
 	keys := make([]*sortKey, len(ex.stmt.OrderBy))
 	var inBatch *batch
 	for ki, k := range ex.stmt.OrderBy {
@@ -122,7 +122,7 @@ func (ex *execution) orderVector(res *Result, input []Row, types []Type) error {
 			return fmt.Errorf("order by expression %s does not appear in the select list", k.Expr)
 		}
 		if inBatch == nil {
-			inBatch = newWideBatch(input, types, identitySel(len(input)), ex.db.estats)
+			inBatch = newTupleBatch(tup, sel, ex.db.estats)
 		}
 		v, err := ex.evalVec(k.Expr, inBatch)
 		if err != nil {

@@ -48,6 +48,30 @@ func (t *Table) Clone() *Table {
 	return out
 }
 
+// shareRows returns a fresh Table over a copy of t's schema whose row
+// slice aliases t's rows, with no index or build caches. The slice's
+// capacity is clipped to its length, so an append on the clone
+// reallocates instead of writing into t's backing array, and every
+// row-set mutator below builds a fresh slice rather than rewriting
+// the shared one. Value mutators (Set, SetAll, NegateColumn) do write
+// through to the shared Row values: a caller that will mutate values
+// first calls Detach.
+func (t *Table) shareRows() *Table {
+	return &Table{Schema: t.Schema.Clone(), Rows: t.Rows[:len(t.Rows):len(t.Rows)]}
+}
+
+// Detach replaces every row with a private deep copy, ending any
+// sharing with the table this one was cloned from (CloneTables,
+// CloneShared). Row ids and contents are unchanged, so cached indexes
+// and build sides stay valid.
+func (t *Table) Detach() {
+	rows := make([]Row, len(t.Rows))
+	for i, r := range t.Rows {
+		rows[i] = r.Clone()
+	}
+	t.Rows = rows
+}
+
 // RowCount returns the number of rows.
 func (t *Table) RowCount() int { return len(t.Rows) }
 
@@ -208,9 +232,11 @@ func (t *Table) NegateColumn(col string) error {
 	return nil
 }
 
-// Truncate removes all rows.
+// Truncate removes all rows. The backing array is dropped, not
+// reused: it may be shared with a clone or with the table this one
+// was cloned from, and a later Insert must not write into it.
 func (t *Table) Truncate() {
-	t.Rows = t.Rows[:0]
+	t.Rows = nil
 	t.invalidateIndexes()
 }
 
@@ -230,12 +256,13 @@ func (t *Table) KeepRange(lo, hi int) error {
 // Sample retains a Bernoulli sample of roughly fraction*RowCount rows
 // using the provided RNG, guaranteeing at least one row is kept when
 // the table is non-empty. It mirrors the engine-native TABLESAMPLE the
-// paper's minimizer preprocessing leans on.
+// paper's minimizer preprocessing leans on. The sample is a fresh
+// slice, so a snapshot of the previous rows stays intact.
 func (t *Table) Sample(fraction float64, rng *rand.Rand) {
 	if len(t.Rows) == 0 || fraction >= 1 {
 		return
 	}
-	kept := t.Rows[:0]
+	kept := make([]Row, 0, int(float64(len(t.Rows))*fraction)+1)
 	for _, r := range t.Rows {
 		if rng.Float64() < fraction {
 			kept = append(kept, r)
@@ -248,12 +275,13 @@ func (t *Table) Sample(fraction float64, rng *rand.Rand) {
 	t.invalidateIndexes()
 }
 
-// DeleteRow removes the row at the given index.
+// DeleteRow removes the row at the given index, building a fresh
+// slice so a shared or snapshotted one stays intact.
 func (t *Table) DeleteRow(i int) error {
 	if i < 0 || i >= len(t.Rows) {
 		return fmt.Errorf("table %s has no row %d", t.Schema.Name, i)
 	}
-	t.Rows = append(t.Rows[:i], t.Rows[i+1:]...)
+	t.Rows = append(CopyRows(t.Rows[:i]), t.Rows[i+1:]...)
 	t.invalidateIndexes()
 	return nil
 }

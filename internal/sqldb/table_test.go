@@ -154,3 +154,92 @@ func TestDeleteAndAppendCopy(t *testing.T) {
 		t.Errorf("row shifted wrong: %v", v)
 	}
 }
+
+// TestSharedCloneRowSetMutationsLeaveSourceIntact pins the aliasing
+// contract of the row-sharing clones (CloneShared, CloneTables): every
+// row-set mutation on the clone — in particular Truncate followed by
+// Insert, which would otherwise reuse the shared backing array — and
+// every value mutation after Detach leaves the source untouched.
+func TestSharedCloneRowSetMutationsLeaveSourceIntact(t *testing.T) {
+	newSource := func(t *testing.T) *Database {
+		db := NewDatabase()
+		if err := db.CreateTable(testSchema()); err != nil {
+			t.Fatal(err)
+		}
+		// Three inserts leave spare capacity in the row slice, so an
+		// append through an unclipped alias would land in it.
+		for i := int64(1); i <= 3; i++ {
+			if err := db.Insert("t", NewInt(i), NewFloat(float64(i)), NewText("a"), NewInt(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return db
+	}
+	clones := map[string]func(*Database) *Database{
+		"CloneShared": func(db *Database) *Database { return db.CloneShared() },
+		"CloneTables": func(db *Database) *Database { return db.CloneTables(map[string]bool{"t": true}) },
+	}
+	mutations := map[string]func(*Table) error{
+		"truncate+insert": func(tbl *Table) error {
+			tbl.Truncate()
+			return tbl.Insert(NewInt(9), NewFloat(9), NewText("z"), NewInt(9))
+		},
+		"insert": func(tbl *Table) error {
+			return tbl.Insert(NewInt(9), NewFloat(9), NewText("z"), NewInt(9))
+		},
+		"delete-row": func(tbl *Table) error { return tbl.DeleteRow(0) },
+		"sample": func(tbl *Table) error {
+			tbl.Sample(0.5, rand.New(rand.NewSource(3)))
+			return nil
+		},
+		"append-row-copy": func(tbl *Table) error {
+			_, err := tbl.AppendRowCopy(1)
+			return err
+		},
+		"detach+set-all": func(tbl *Table) error {
+			tbl.Detach()
+			return tbl.SetAll("k", NewInt(-1))
+		},
+	}
+	for cname, clone := range clones {
+		for mname, mutate := range mutations {
+			t.Run(cname+"/"+mname, func(t *testing.T) {
+				src := newSource(t)
+				before := src.Fingerprint()
+				cl := clone(src)
+				tbl, err := cl.Table("t")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := mutate(tbl); err != nil {
+					t.Fatal(err)
+				}
+				if src.Fingerprint() != before {
+					t.Fatalf("mutating the clone changed the source")
+				}
+				if cl.Fingerprint() == before {
+					t.Fatalf("mutation had no effect on the clone")
+				}
+			})
+		}
+		// Sibling clones of one source must not append into the same
+		// spare capacity of the shared backing array.
+		t.Run(cname+"/sibling-inserts", func(t *testing.T) {
+			src := newSource(t)
+			a, b := clone(src), clone(src)
+			if err := a.Insert("t", NewInt(7), NewFloat(7), NewText("a"), NewInt(7)); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Insert("t", NewInt(8), NewFloat(8), NewText("b"), NewInt(8)); err != nil {
+				t.Fatal(err)
+			}
+			ta, err := a.Table("t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v, _ := ta.Get(3, "k"); v.I != 7 {
+				t.Fatalf("first clone's inserted row reads k=%v after a sibling insert", v)
+			}
+		})
+	}
+}

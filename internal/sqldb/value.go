@@ -220,16 +220,25 @@ func Equal(a, b Value) bool {
 // GroupKey renders the value into a string usable as a hash-grouping
 // key. Unlike Equal, NULLs group together (SQL GROUP BY semantics).
 func (v Value) GroupKey() string {
+	var buf [24]byte
+	return string(appendGroupKey(buf[:0], v))
+}
+
+// appendGroupKey appends v's group key to buf. Hot key construction
+// (probe-side join keys, aggregation keys) builds keys in a reused
+// buffer and looks them up as m[string(buf)], which does not copy, so
+// only keys that are stored allocate.
+func appendGroupKey(buf []byte, v Value) []byte {
 	if v.Null {
-		return "\x00N"
+		return append(buf, "\x00N"...)
 	}
 	switch v.Typ {
 	case TText:
-		return "s" + v.S
+		return append(append(buf, 's'), v.S...)
 	case TFloat:
-		return "f" + strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.AppendFloat(append(buf, 'f'), v.F, 'g', -1, 64)
 	default:
-		return "i" + strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(append(buf, 'i'), v.I, 10)
 	}
 }
 
