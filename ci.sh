@@ -5,11 +5,9 @@
 # linter (internal/analysis via cmd/unmasquelint), the full test suite
 # under the race detector, the benchmark module's tests, every fuzz
 # target in smoke mode, an end-to-end traced extraction whose JSONL
-# output is schema-validated,
-# the storage-tier end-to-ends (crash-recovery self-check, disk-store
-# differential, warm-daemon restart on a durable probe cache), and a
-# coverage gate on the load-bearing packages. Any failure stops the
-# gate.
+# output is schema-validated, the daemon and telemetry end-to-ends, a
+# warm-daemon restart on a durable probe cache, and a coverage gate on
+# the load-bearing packages. Any failure stops the gate.
 set -eu
 
 cd "$(dirname "$0")"
@@ -168,19 +166,6 @@ grep -q "drained cleanly" "$e2e_dir/daemon.log" || {
     cat "$e2e_dir/daemon.log" >&2
     exit 1
 }
-
-# Storage tier end-to-end: (a) the crash-recovery self-check walks a
-# real store through every injected crash stage, (b) an extraction
-# over the disk-backed store must produce byte-identical SQL to the
-# in-memory default.
-echo "== storage tier end-to-end (crash selfcheck + disk differential)"
-go run ./cmd/unmasque -store-selfcheck "$e2e_dir/selfcheck"
-disk_sql=$(go run ./cmd/unmasque -app enki/posts_by_tag -store disk | grep -v '^--')
-if [ "$disk_sql" != "$cli_sql" ]; then
-    echo "storage e2e: -store disk extracts different SQL" >&2
-    printf 'disk: %s\nmem:  %s\n' "$disk_sql" "$cli_sql" >&2
-    exit 1
-fi
 
 # Warm-daemon end-to-end: boot the daemon with a durable probe cache,
 # run a job cold, SIGTERM-drain it, boot a fresh daemon on the same

@@ -331,8 +331,8 @@ func WriteOut(path string, data []byte) error {
 
 import "os"
 
-// OpenHeap is the storage tier — file I/O is its charter: legal.
-func OpenHeap(path string) (*os.File, error) { return os.Open(path) }
+// OpenLog is the storage tier — file I/O is its charter: legal.
+func OpenLog(path string) (*os.File, error) { return os.Open(path) }
 `,
 		"internal/service/clock.go": `package service
 

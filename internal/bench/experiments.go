@@ -27,11 +27,11 @@ type Options struct {
 	Quick bool
 	// Seed drives data generation and extraction randomness.
 	Seed int64
-	// ScratchDir is a writable directory for experiments that exercise
-	// the disk tier (storage). The caller owns its lifecycle; this
-	// package only passes it to storage.Open / OpenProbeCache (which
-	// create subdirectories as needed) and never touches the
-	// filesystem directly. Empty skips disk-backed measurements.
+	// ScratchDir is a writable directory for the experiment that
+	// exercises the durable probe cache (storage). The caller owns its
+	// lifecycle; this package only passes it to OpenProbeCache (which
+	// creates subdirectories as needed) and never touches the
+	// filesystem directly. The storage experiment fails without it.
 	ScratchDir string
 }
 

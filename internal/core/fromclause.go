@@ -172,7 +172,7 @@ func (g *groupTester) probe(group []string) (faults bool, err error) {
 // negative probe's completed result — is, so a warm daemon repeating
 // an extraction invokes E zero times.
 func (s *Session) runRenameProbe(pc *probeCtx, probe *sqldb.Database, tables string, timeout time.Duration) (*sqldb.Result, error) {
-	diskOK := s.cache != nil && s.shared != nil && probe.TotalRows() <= s.cfg.DiskCacheMaxRows
+	diskOK := s.cache != nil && s.shared != nil && probe.TotalRows() <= diskCacheMaxRows
 	if !diskOK {
 		start := s.cfg.Clock()
 		res, err := app.RunCtx(s.ctx, s.exe, probe, timeout)

@@ -33,7 +33,7 @@ import (
 // the projection baseline re-run of untouched D_1, symmetric mutation
 // corners — skip E.Run entirely. Only databases small enough that
 // fingerprinting is far cheaper than execution are eligible
-// (Config.CacheMaxRows); timeouts are never cached.
+// (memCacheMaxRows); timeouts are never cached.
 //
 // The cache is single-flight: concurrent probes on the same
 // fingerprint elect one leader that runs E while the rest wait on the
@@ -43,6 +43,24 @@ import (
 // fingerprint produces exactly one miss and k hits no matter how its
 // k+1 probes interleaved (which probe was the leader is a volatile,
 // stripped detail).
+
+// Row bounds on the instances each memoization tier accepts. Both are
+// fixed: nothing in the pipeline benefits from tuning them.
+const (
+	// memCacheMaxRows bounds the instances the in-session run cache
+	// keeps resident; fingerprinting larger ones would rival execution
+	// cost. 256 is generous for the paper's single-row probe databases
+	// and far below any realistic D_I.
+	memCacheMaxRows = 256
+
+	// diskCacheMaxRows bounds the instances eligible for the shared
+	// persistent tier. It is far above memCacheMaxRows because those
+	// entries outlive the job, so even the full initial instance's
+	// probe results are worth keeping. They still cost RAM: the
+	// durable cache (storage.ProbeCache) keeps every record in memory
+	// as well as in its log.
+	diskCacheMaxRows = 1_000_000
+)
 
 // probeCtx identifies one scheduled probe while it executes: which
 // pool worker is running it, its fan-out index, and its span in the
@@ -186,9 +204,9 @@ func (c *runCache) reserve(fp sqldb.Fingerprint) (*cacheEntry, bool) {
 // complete records the leader's outcome and releases the waiters.
 // With retain=false the flight is withdrawn after completion: waiters
 // already holding the entry still read its outcome, but the result is
-// not kept resident — instances above CacheMaxRows are only memoized
-// in the persistent tier (disk, not RAM), and a later probe on the
-// same fingerprint re-reserves and reads the disk tier instead.
+// not kept resident — instances above memCacheMaxRows are only
+// memoized in the persistent tier, and a later probe on the same
+// fingerprint re-reserves and reads that tier instead.
 func (c *runCache) complete(fp sqldb.Fingerprint, e *cacheEntry, res *sqldb.Result, err error, retain bool) {
 	e.res, e.err, e.ok = res, err, true
 	if !retain {
@@ -212,15 +230,15 @@ func (c *runCache) abort(fp sqldb.Fingerprint, e *cacheEntry) {
 // deadline, serving content-identical probes from the two-tier cache:
 // the in-session single-flight map first, then (when a shared
 // persistent cache is attached) the durable cross-job tier. Large
-// databases bypass each tier independently — above Config.CacheMaxRows
-// results are not retained in RAM, above Config.DiskCacheMaxRows the
+// databases bypass each tier independently — above memCacheMaxRows
+// results are not retained in the session, above diskCacheMaxRows the
 // persistent tier is not consulted either (hashing would rival
 // execution cost). Every path records exactly one ledger event: one
 // per completed E invocation, one per in-memory hit, one per
 // persistent-tier hit — which is what makes the ledger's event count
 // equal Stats.AppInvocations + Stats.CacheHits + Stats.DiskCacheHits.
 //
-// Determinism note: for instances within CacheMaxRows the flight is
+// Determinism note: for instances within memCacheMaxRows the flight is
 // retained, so the outcome multiset per fingerprint (one miss-or-disk
 // plus k hits) is identical for every worker count, exactly as
 // before. For larger instances served only by the persistent tier the
@@ -231,8 +249,8 @@ func (s *Session) runMemoized(pc *probeCtx, db *sqldb.Database) (*sqldb.Result, 
 		return s.runObserved(pc, db, obs.CacheOff, "")
 	}
 	rows := db.TotalRows()
-	memOK := rows <= s.cfg.CacheMaxRows
-	diskOK := s.shared != nil && rows <= s.cfg.DiskCacheMaxRows
+	memOK := rows <= memCacheMaxRows
+	diskOK := s.shared != nil && rows <= diskCacheMaxRows
 	if !memOK && !diskOK {
 		return s.runObserved(pc, db, obs.CacheBypass, "")
 	}

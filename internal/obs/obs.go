@@ -71,8 +71,9 @@ const (
 	// CacheMiss: no prior execution; E ran and the outcome was
 	// recorded (timeouts excepted).
 	CacheMiss = "miss"
-	// CacheBypass: the instance exceeded Config.CacheMaxRows, so E
-	// ran without fingerprinting.
+	// CacheBypass: the instance exceeded the run cache's row bound
+	// (and the shared tier's, when one is attached), so E ran without
+	// fingerprinting.
 	CacheBypass = "bypass"
 	// CacheOff: the run cache is disabled for the session.
 	CacheOff = "off"

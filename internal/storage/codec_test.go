@@ -21,6 +21,23 @@ func codecRows() []sqldb.Row {
 	}
 }
 
+func rowsEqual(t *testing.T, ctx string, got, want []sqldb.Row) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", ctx, len(got), len(want))
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("%s: row %d arity %d, want %d", ctx, i, len(got[i]), len(want[i]))
+		}
+		for c := range want[i] {
+			if got[i][c] != want[i][c] {
+				t.Fatalf("%s: row %d col %d: %#v != %#v", ctx, i, c, got[i][c], want[i][c])
+			}
+		}
+	}
+}
+
 func TestRowRoundTrip(t *testing.T) {
 	for i, row := range codecRows() {
 		enc := appendRow(nil, row)

@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -23,8 +25,8 @@ import (
 // when their database fingerprints collide (same instance, different
 // app ⇒ different E output).
 //
-// Record framing is [u32 len][u32 crc][payload] — the same framing as
-// the WAL — recovered through RecoverTail, so a crash mid-append
+// Record framing is [u32 len][u32 crc][payload] (writeFrame,
+// readFrame), recovered through RecoverTail, so a crash mid-append
 // costs at most the record being written. Payload:
 //
 //	[32]  key = sha256(namespace ‖ 0x00 ‖ fingerprint)
@@ -42,7 +44,6 @@ type ProbeCache struct {
 	f      *os.File
 	path   string
 	mem    map[cacheKey]*cacheValue
-	writes int64
 	closed bool
 	err    error // sticky append error: cache degrades to read-only
 }
@@ -198,7 +199,6 @@ func (pc *ProbeCache) put(key cacheKey, res *sqldb.Result, err error) {
 		// is durability of new entries. Surfaced at Close.
 		pc.err = werr
 	}
-	pc.writes++
 }
 
 // append must be called with pc.mu held.
@@ -290,22 +290,12 @@ func decodeCacheRecord(payload []byte) (cacheKey, *cacheValue, error) {
 	off += 4
 	rows := make([]sqldb.Row, 0, nrows)
 	for i := 0; i < nrows; i++ {
-		if off+2 > len(payload) {
-			return key, nil, fmt.Errorf("storage: short cache row: %w", ErrTornRecord)
-		}
-		rcols := int(binary.LittleEndian.Uint16(payload[off:]))
-		roff := off + 2
-		row := make(sqldb.Row, 0, rcols)
-		for c := 0; c < rcols; c++ {
-			v, next, err := decodeValue(payload, roff)
-			if err != nil {
-				return key, nil, err
-			}
-			row = append(row, v)
-			roff = next
+		row, next, err := decodeRowAt(payload, off)
+		if err != nil {
+			return key, nil, err
 		}
 		rows = append(rows, row)
-		off = roff
+		off = next
 	}
 	if off != len(payload) {
 		return key, nil, fmt.Errorf("storage: trailing cache bytes: %w", ErrTornRecord)
@@ -344,4 +334,44 @@ func (c *NSCache) Put(fp sqldb.Fingerprint, res *sqldb.Result, err error) {
 // (app, seed) pair share probe results.
 func AppNamespace(app string, seed int64) string {
 	return "app/" + app + "#seed=" + strconv.FormatInt(seed, 10)
+}
+
+// writeFrame appends one [len][crc][payload] frame to f.
+func writeFrame(f *os.File, payload []byte) error {
+	var hdr [8]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+	if _, err := f.Write(hdr[:]); err != nil {
+		return fmt.Errorf("storage: append frame: %w", err)
+	}
+	if _, err := f.Write(payload); err != nil {
+		return fmt.Errorf("storage: append frame: %w", err)
+	}
+	return nil
+}
+
+// readFrame consumes one frame, validating length bound and CRC.
+// io.EOF at a frame boundary is a clean end; anything else partial or
+// invalid is ErrTornRecord.
+func readFrame(r *bufio.Reader, maxLen uint32) ([]byte, int64, error) {
+	var hdr [8]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.EOF {
+			return nil, 0, io.EOF
+		}
+		return nil, 0, fmt.Errorf("storage: frame header: %w", ErrTornRecord)
+	}
+	n := binary.LittleEndian.Uint32(hdr[0:4])
+	crc := binary.LittleEndian.Uint32(hdr[4:8])
+	if n > maxLen {
+		return nil, 0, fmt.Errorf("storage: frame claims %d bytes: %w", n, ErrTornRecord)
+	}
+	payload := make([]byte, n)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return nil, 0, fmt.Errorf("storage: frame payload: %w", ErrTornRecord)
+	}
+	if crc32.ChecksumIEEE(payload) != crc {
+		return nil, 0, fmt.Errorf("storage: frame checksum: %w", ErrTornRecord)
+	}
+	return payload, int64(8 + len(payload)), nil
 }

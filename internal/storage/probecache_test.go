@@ -3,8 +3,10 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"unmasque/internal/sqldb"
@@ -148,9 +150,17 @@ func TestProbeCachePutIsIdempotent(t *testing.T) {
 	fp := sqldb.Fingerprint{5}
 	want := sampleResult()
 	ns.Put(fp, want, nil)
+	once, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ns.Put(fp, nil, errors.New("second writer must lose"))
-	if pc.writes != 1 {
-		t.Fatalf("writes = %d, want 1", pc.writes)
+	twice, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if twice.Size() != once.Size() {
+		t.Fatalf("re-put appended %d bytes, want none", twice.Size()-once.Size())
 	}
 	res, err, ok := ns.Get(fp)
 	if !ok || err != nil {
@@ -229,5 +239,140 @@ func TestProbeCacheNilReceiverClose(t *testing.T) {
 func TestAppNamespaceFormat(t *testing.T) {
 	if got := AppNamespace("tpch/Q3", 7); got != "app/tpch/Q3#seed=7" {
 		t.Fatalf("AppNamespace = %q", got)
+	}
+}
+
+// TestCrashRecoveryProperty cuts a probe-cache log at random byte
+// offsets — a crash mid-append can leave any prefix on disk — and
+// reopens each cut. Recovery must keep exactly the records whose
+// frames lie wholly before the cut, with their outcomes intact,
+// truncate the torn remainder, and append new records after the last
+// intact one so they survive the next reopen. A flipped byte inside a
+// record must drop that record and everything after it.
+func TestCrashRecoveryProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	path := cachePath(t)
+	pc := openCache(t, path)
+	ns := pc.Namespace("n")
+
+	type outcome struct {
+		res *sqldb.Result
+		err error
+	}
+	var outcomes []outcome
+	var ends []int64 // log size after each record
+	for i := 0; i < 24; i++ {
+		var o outcome
+		switch rng.Intn(4) {
+		case 0:
+			o.err = fmt.Errorf("exec: %w: t%d", sqldb.ErrNoSuchTable, i)
+		case 1:
+			o.err = fmt.Errorf("application error %d", i)
+		default:
+			rows := make([]sqldb.Row, rng.Intn(6))
+			for r := range rows {
+				rows[r] = sqldb.Row{sqldb.NewInt(rng.Int63()), sqldb.NewText(strings.Repeat("x", rng.Intn(40)))}
+				if rng.Intn(5) == 0 {
+					rows[r][1] = sqldb.NewNull(sqldb.TText)
+				}
+			}
+			o.res = sqldb.RestoreResult([]string{"k", "v"}, rows, rng.Intn(2) == 0)
+		}
+		ns.Put(sqldb.Fingerprint{byte(i)}, o.res, o.err)
+		outcomes = append(outcomes, o)
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, fi.Size())
+	}
+	if err := pc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// reopen writes data as the whole log, recovers it and checks that
+	// exactly the first want records survive.
+	reopen := func(ctx string, data []byte, want int) {
+		t.Helper()
+		cut := filepath.Join(t.TempDir(), "probecache.log")
+		if err := os.WriteFile(cut, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		pc := openCache(t, cut)
+		if pc.Len() != want {
+			t.Fatalf("%s: Len = %d, want %d", ctx, pc.Len(), want)
+		}
+		var good int64
+		if want > 0 {
+			good = ends[want-1]
+		}
+		if fi, err := os.Stat(cut); err != nil || fi.Size() != good {
+			t.Fatalf("%s: recovered log is %v bytes (err %v), want %d", ctx, fi.Size(), err, good)
+		}
+		ns := pc.Namespace("n")
+		for i := 0; i < want; i++ {
+			res, err, ok := ns.Get(sqldb.Fingerprint{byte(i)})
+			if !ok {
+				t.Fatalf("%s: record %d lost", ctx, i)
+			}
+			resultsEqual(t, fmt.Sprintf("%s record %d", ctx, i), res, outcomes[i].res)
+			if (err == nil) != (outcomes[i].err == nil) ||
+				err != nil && (err.Error() != outcomes[i].err.Error() ||
+					errors.Is(err, sqldb.ErrNoSuchTable) != errors.Is(outcomes[i].err, sqldb.ErrNoSuchTable)) {
+				t.Fatalf("%s: record %d error %v, want %v", ctx, i, err, outcomes[i].err)
+			}
+		}
+		// A record appended after recovery lands on the intact prefix.
+		fresh := sqldb.Fingerprint{0xFF}
+		ns.Put(fresh, nil, errors.New("after recovery"))
+		if err := pc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		pc = openCache(t, cut)
+		defer pc.Close()
+		if pc.Len() != want+1 {
+			t.Fatalf("%s: Len = %d after post-recovery append, want %d", ctx, pc.Len(), want+1)
+		}
+		if _, _, ok := pc.Namespace("n").Get(fresh); !ok {
+			t.Fatalf("%s: post-recovery append lost", ctx)
+		}
+	}
+
+	// complete counts the records wholly inside the first n bytes.
+	complete := func(n int64) int {
+		k := 0
+		for k < len(ends) && ends[k] <= n {
+			k++
+		}
+		return k
+	}
+	cuts := []int64{0, int64(len(log))}
+	for _, end := range ends {
+		cuts = append(cuts, end-1, end, end+1)
+	}
+	for i := 0; i < 40; i++ {
+		cuts = append(cuts, rng.Int63n(int64(len(log))))
+	}
+	for _, n := range cuts {
+		if n > int64(len(log)) {
+			continue
+		}
+		reopen(fmt.Sprintf("cut at %d", n), log[:n], complete(n))
+	}
+
+	for i := 0; i < 10; i++ {
+		rec := rng.Intn(len(ends))
+		start := int64(0)
+		if rec > 0 {
+			start = ends[rec-1]
+		}
+		off := start + rng.Int63n(ends[rec]-start)
+		bad := append([]byte(nil), log...)
+		bad[off] ^= 0x5A
+		reopen(fmt.Sprintf("flip at %d", off), bad, rec)
 	}
 }

@@ -21,8 +21,8 @@ import (
 // On return the file is positioned at the end of the last intact
 // record, the torn suffix (if any) has been truncated away, and torn
 // reports how many bytes were dropped. The helper is shared by the
-// service tier's JSONL job store and this package's binary WAL and
-// probe-cache logs; both formats guarantee that records are appended
+// service tier's JSONL job store and this package's binary probe-cache
+// log; both formats guarantee that records are appended
 // atomically *in the log's framing* (length/CRC or newline), so a
 // prefix of intact records is always a consistent state.
 func RecoverTail(f *os.File, next func(r *bufio.Reader) (int64, error)) (good, torn int64, err error) {
