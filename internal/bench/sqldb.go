@@ -53,7 +53,7 @@ func SqldbEngine(w io.Writer, opt Options) ([]EngineRow, error) {
 	}
 	out = append(out, micro)
 	tbl.Add(micro.Case, ms(micro.Tree), ms(micro.Vector),
-		fmt.Sprintf("%.2f", micro.Speedup), micro.IndexHits, micro.RangeHits, micro.JoinReuses, "n/a")
+		fmt.Sprintf("%.2f", micro.Speedup), micro.IndexHits, micro.RangeHits, micro.JoinReuses, micro.SQLIdentical)
 
 	for _, mk := range []func(Options) (microbenchSpec, error){
 		groupAggSpec, topKSpec, rangeProbeSpec,

@@ -28,6 +28,11 @@ func extractUnderMode(t *testing.T, appName, mode string) (*core.Extraction, []b
 	cfg := core.DefaultConfig()
 	cfg.Seed = 1
 	cfg.ExecMode = mode
+	// A from-clause probe that crosses ProbeTimeout re-runs with a
+	// doubled deadline, adding an invocation that depends on machine
+	// load rather than on the engine. Starting at ExecTimeout gives
+	// both engines a deadline that load cannot reach.
+	cfg.ProbeTimeout = cfg.ExecTimeout
 	cfg.Tracer = obs.NewTracer("extract")
 	cfg.Ledger = obs.NewLedger()
 	ext, err := core.Extract(exe, db, cfg)

@@ -62,7 +62,7 @@ func (s *Session) samplePhase() error {
 	frozen := map[string]bool{}
 	for {
 		name := ""
-		best := s.cfg.SampleThreshold
+		best := sampleThreshold
 		for _, t := range s.tablesBySizeDesc() {
 			if frozen[t] {
 				continue
@@ -84,7 +84,7 @@ func (s *Session) samplePhase() error {
 			return err
 		}
 		backup := tbl.SnapshotRows()
-		tbl.Sample(s.cfg.SampleFraction, s.rng) // fresh slice; backup intact
+		tbl.Sample(sampleFraction, s.rng) // fresh slice; backup intact
 		ok, err := s.populated(nil, s.silo)
 		if err != nil {
 			return err

@@ -20,12 +20,12 @@ type Mutant struct {
 	Stmt  *sqldb.SelectStmt
 }
 
-// MutantLimitCap bounds the limit values for which off-by-one limit
+// mutantLimitCap bounds the limit values for which off-by-one limit
 // mutants are generated: a limit beyond the row count any size-k
 // database can produce is indistinguishable from limit±1 inside the
 // bound, so such mutants would only dilute the catalogue (the
 // classical order-limit instance keeps covering them).
-const MutantLimitCap = 4
+const mutantLimitCap = 4
 
 // Mutants derives the mutant catalogue of a candidate query. The
 // catalogue is deterministic: same AST in, same mutants (order
@@ -49,7 +49,7 @@ func Mutants(stmt *sqldb.SelectStmt, schemas []sqldb.TableSchema) []Mutant {
 		m.OrderBy[i].Desc = !m.OrderBy[i].Desc
 		add(fmt.Sprintf("order-flip#%d", i), m)
 	}
-	if stmt.Limit >= 1 && stmt.Limit <= MutantLimitCap {
+	if stmt.Limit >= 1 && stmt.Limit <= mutantLimitCap {
 		lo := sqldb.CloneStmt(stmt)
 		lo.Limit = stmt.Limit - 1
 		add(fmt.Sprintf("limit:%d", lo.Limit), lo)
