@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -31,21 +33,25 @@ func TestTextTableRendering(t *testing.T) {
 	}
 }
 
-// TestPointLookupChecksResultIdentity: the point-lookup microbenchmark
-// compares tree and vector result digests like every other engine
-// row, so its SQLIdentical column means "checked and identical".
-func TestPointLookupChecksResultIdentity(t *testing.T) {
-	opt := DefaultOptions()
-	opt.Quick = true
-	row, err := pointLookupMicrobench(opt)
-	if err != nil {
+// TestSnapshotRecordsMachine: every BENCH_*.json envelope names the
+// CPU count, scheduler parallelism and toolchain it was measured with.
+func TestSnapshotRecordsMachine(t *testing.T) {
+	var buf bytes.Buffer
+	if err := EncodeSnapshot(&buf, "demo", DefaultOptions(), []int{1}); err != nil {
 		t.Fatal(err)
 	}
-	if !row.SQLIdentical {
-		t.Errorf("%s: tree and vector results differ", row.Case)
+	var snap map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		t.Fatal(err)
 	}
-	if row.IndexHits == 0 {
-		t.Errorf("%s: no index hits; the vector run never used the point index", row.Case)
+	if got := snap["nproc"]; got != float64(runtime.NumCPU()) {
+		t.Errorf("nproc = %v, want %d", got, runtime.NumCPU())
+	}
+	if got := snap["gomaxprocs"]; got != float64(runtime.GOMAXPROCS(0)) {
+		t.Errorf("gomaxprocs = %v, want %d", got, runtime.GOMAXPROCS(0))
+	}
+	if got := snap["go_version"]; got != runtime.Version() {
+		t.Errorf("go_version = %v, want %s", got, runtime.Version())
 	}
 }
 
@@ -121,33 +127,6 @@ func TestQuickExperimentShapes(t *testing.T) {
 		}
 		if !anyHits {
 			t.Error("no query recorded a single cache hit across the TPC-H suite")
-		}
-	})
-
-	t.Run("service-shape", func(t *testing.T) {
-		rows, err := Service(&buf, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rows) != 2 {
-			t.Fatalf("expected 2 worker-pool sizes in quick mode, got %d", len(rows))
-		}
-		for _, r := range rows {
-			if !r.AllDone {
-				t.Errorf("workers=%d: not every job reached done", r.Workers)
-			}
-			if !r.Invariant {
-				t.Errorf("workers=%d: ledger invariant broken for some job", r.Workers)
-			}
-			if r.JobsPerSec <= 0 {
-				t.Errorf("workers=%d: throughput %.2f jobs/sec", r.Workers, r.JobsPerSec)
-			}
-			if r.P50 > r.P99 {
-				t.Errorf("workers=%d: p50 %dms > p99 %dms", r.Workers, r.P50, r.P99)
-			}
-			if r.P99 <= 0 {
-				t.Errorf("workers=%d: p99 %dms: job latency was never read", r.Workers, r.P99)
-			}
 		}
 	})
 

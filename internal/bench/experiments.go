@@ -27,12 +27,6 @@ type Options struct {
 	Quick bool
 	// Seed drives data generation and extraction randomness.
 	Seed int64
-	// ScratchDir is a writable directory for the experiment that
-	// exercises the durable probe cache (storage). The caller owns its
-	// lifecycle; this package only passes it to OpenProbeCache (which
-	// creates subdirectories as needed) and never touches the
-	// filesystem directly. The storage experiment fails without it.
-	ScratchDir string
 }
 
 // DefaultOptions mirrors the paper-shaped run.

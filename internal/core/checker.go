@@ -67,9 +67,6 @@ func (s *Session) check(ext *Extraction) error {
 // compareOn runs both the application and Q_E on db and compares the
 // results.
 func (s *Session) compareOn(ext *Extraction, db *sqldb.Database, label string) error {
-	// No index advice here: this instance serves exactly two
-	// executions (the application and Q_E), which cannot amortize an
-	// index build.
 	appRes, appErr := s.run(nil, db)
 	qRes, qErr := s.executeStmt(ext.Query, db)
 	if appErr != nil {

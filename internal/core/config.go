@@ -75,11 +75,10 @@ type Config struct {
 	ExtractHaving bool
 
 	// ExecMode selects the sqldb execution engine for every probe the
-	// pipeline runs: "vector" (default; columnar batches, secondary
-	// hash indexes, hash-join build reuse) or "tree" (the original
-	// per-row engine, kept as the differential-testing oracle). The
-	// extracted SQL is identical under both — only probe wall time
-	// changes.
+	// pipeline runs: "vector" (default; columnar batches, hash-join
+	// build reuse) or "tree" (the original per-row engine, kept as the
+	// differential-testing oracle). The extracted SQL is identical
+	// under both — only probe wall time changes.
 	ExecMode string
 
 	// Seed drives all randomized choices, making extraction
@@ -285,16 +284,19 @@ type Stats struct {
 	// (Config.ExecMode after defaulting).
 	ExecMode string
 
+	// Always 0: the engine has no secondary indexes. The fields stay
+	// for readers that still report them.
+	IndexBuilds int64
+	IndexHits   int64
+	RangeBuilds int64
+	RangeHits   int64
+
 	// Engine counters for this extraction (deltas of the silo's shared
 	// sqldb.EngineStats between start and end — the provided database
 	// may be reused across extractions, so absolutes would conflate
-	// runs): secondary-index builds and lookup hits, hash-join build
-	// sides reused from cache, and column batches gathered by the
-	// vectorized scan. All zero under ExecMode "tree".
-	IndexBuilds      int64
-	IndexHits        int64
-	RangeBuilds      int64
-	RangeHits        int64
+	// runs): hash-join build sides reused from cache, and column
+	// batches gathered by the vectorized scan. Both zero under
+	// ExecMode "tree".
 	JoinBuildsReused int64
 	VectorBatches    int64
 }
@@ -342,9 +344,7 @@ func (s *Stats) String() string {
 	if s.ExecMode != "" {
 		line += fmt.Sprintf(" exec=%s", s.ExecMode)
 		if s.ExecMode == "vector" {
-			line += fmt.Sprintf(" (index builds=%d hits=%d range builds=%d hits=%d join-reuse=%d batches=%d)",
-				s.IndexBuilds, s.IndexHits, s.RangeBuilds, s.RangeHits,
-				s.JoinBuildsReused, s.VectorBatches)
+			line += fmt.Sprintf(" (join-reuse=%d batches=%d)", s.JoinBuildsReused, s.VectorBatches)
 		}
 	}
 	return line

@@ -77,7 +77,7 @@ func TestExtractionIdenticalAcrossExecModes(t *testing.T) {
 					extV.Stats.ExecMode, extT.Stats.ExecMode)
 			}
 			// The oracle never touches the vectorized machinery.
-			if extT.Stats.IndexBuilds != 0 || extT.Stats.RangeBuilds != 0 || extT.Stats.VectorBatches != 0 {
+			if extT.Stats.JoinBuildsReused != 0 || extT.Stats.VectorBatches != 0 {
 				t.Fatalf("tree mode reports vector work: %+v", extT.Stats)
 			}
 			// The vector engine actually vectorizes on these queries.

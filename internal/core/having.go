@@ -41,13 +41,6 @@ func (s *Session) extractFiltersAndHaving() error {
 		}
 		cols = append(cols, col)
 	}
-	// Same probe shape as extractFilters: every probe clones D_1 and
-	// re-executes E, so clones inherit indexes on the candidate columns.
-	release, err := s.adviseProbeColumns(cols)
-	if err != nil {
-		return err
-	}
-	defer release()
 	for _, col := range cols {
 		def, err := s.column(col)
 		if err != nil {

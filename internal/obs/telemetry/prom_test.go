@@ -22,7 +22,7 @@ func promRegistry() *obs.Metrics {
 	m.Counter("phase_probes.from-clause").Add(8)
 	m.Counter("phase_probes.filters").Add(22)
 	m.Counter("phase_probes.projection").Add(12)
-	m.Counter("engine_index_hits").Add(100)
+	m.Counter("engine_join_builds_reused").Add(100)
 	m.Gauge("queue_depth").Set(3)
 	m.Gauge("jobs_running").Set(2)
 	h := m.Histogram("probe_latency_ms")

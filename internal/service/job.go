@@ -104,14 +104,18 @@ type Result struct {
 
 	// Execution-engine accounting (core.Stats deltas for this job's
 	// extraction): which sqldb engine probes ran on and, under the
-	// vectorized engine, its index/join-reuse/batch counters.
+	// vectorized engine, its join-reuse/batch counters.
 	ExecMode         string `json:"exec_mode,omitempty"`
-	IndexBuilds      int64  `json:"index_builds,omitempty"`
-	IndexHits        int64  `json:"index_hits,omitempty"`
-	RangeBuilds      int64  `json:"range_builds,omitempty"`
-	RangeHits        int64  `json:"range_hits,omitempty"`
 	JoinBuildsReused int64  `json:"join_builds_reused,omitempty"`
 	VectorBatches    int64  `json:"vector_batches,omitempty"`
+
+	// Always 0 (and so omitted from the JSON): the engine has no
+	// secondary indexes. The fields stay for readers that still
+	// report them.
+	IndexBuilds int64 `json:"index_builds,omitempty"`
+	IndexHits   int64 `json:"index_hits,omitempty"`
+	RangeBuilds int64 `json:"range_builds,omitempty"`
+	RangeHits   int64 `json:"range_hits,omitempty"`
 }
 
 // view renders the job snapshot; the caller holds the Manager lock.
@@ -146,10 +150,6 @@ func (j *Job) result() Result {
 		Workers:        j.stats.Workers,
 
 		ExecMode:         j.stats.ExecMode,
-		IndexBuilds:      j.stats.IndexBuilds,
-		IndexHits:        j.stats.IndexHits,
-		RangeBuilds:      j.stats.RangeBuilds,
-		RangeHits:        j.stats.RangeHits,
 		JoinBuildsReused: j.stats.JoinBuildsReused,
 		VectorBatches:    j.stats.VectorBatches,
 	}

@@ -154,7 +154,7 @@ func TestResultEngineCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.IndexHits != want.IndexHits || res.JoinBuildsReused != want.JoinBuildsReused {
+	if res.VectorBatches != want.VectorBatches || res.JoinBuildsReused != want.JoinBuildsReused {
 		t.Errorf("engine counters drifted through JSON: got %+v want %+v", res, want)
 	}
 }

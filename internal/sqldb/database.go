@@ -24,13 +24,6 @@ type Database struct {
 
 	mode   ExecMode     // which engine Execute dispatches to
 	estats *EngineStats // engine counters, shared with every clone
-
-	// advice maps table name -> local column indexes the caller has
-	// declared it is about to probe repeatedly (AdviseIndexes). The
-	// vector engine prefers advised columns when choosing an index,
-	// and clones inherit both the advice and the already-built index
-	// payloads for advised columns.
-	advice map[string][]int
 }
 
 // NewDatabase creates an empty database.
@@ -38,88 +31,10 @@ func NewDatabase() *Database {
 	return &Database{tables: map[string]*Table{}, estats: &EngineStats{}}
 }
 
-// newLike creates an empty database inheriting db's exec mode, index
-// advice and (shared) engine counters — the base of every clone
-// flavour.
+// newLike creates an empty database inheriting db's exec mode and
+// (shared) engine counters — the base of every clone flavour.
 func (db *Database) newLike() *Database {
-	out := &Database{tables: map[string]*Table{}, mode: db.mode, estats: db.estats}
-	if len(db.advice) > 0 {
-		out.advice = make(map[string][]int, len(db.advice))
-		for t, cols := range db.advice {
-			out.advice[t] = append([]int(nil), cols...)
-		}
-	}
-	return out
-}
-
-// IndexHint names one column an extraction phase is about to probe
-// repeatedly. Advice replaces the engine's first-predicate heuristic:
-// the planner may answer any eligible pushdown predicate on an
-// advised column from an index, and clone operations pre-install the
-// (shared, immutable) index payloads so the build cost is paid once
-// across a whole probe fan-out.
-type IndexHint struct {
-	Table  string
-	Column string
-}
-
-// AdviseIndexes records index advice on this database. Hints
-// accumulate until ClearIndexAdvice; duplicates are ignored. Unknown
-// tables or columns are an error so extraction phases cannot silently
-// advise a column that does not exist.
-func (db *Database) AdviseIndexes(hints ...IndexHint) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for _, h := range hints {
-		name := strings.ToLower(h.Table)
-		t, ok := db.tables[name]
-		if !ok {
-			return fmt.Errorf("%w: %s", ErrNoSuchTable, name)
-		}
-		ci := t.Schema.ColumnIndex(strings.ToLower(h.Column))
-		if ci < 0 {
-			return fmt.Errorf("table %s has no column %s", name, h.Column)
-		}
-		cur := db.advice[name]
-		dup := false
-		for _, c := range cur {
-			if c == ci {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		if db.advice == nil {
-			db.advice = map[string][]int{}
-		}
-		db.advice[name] = append(cur, ci)
-	}
-	return nil
-}
-
-// ClearIndexAdvice drops all recorded index advice. Already-built
-// indexes stay cached (they invalidate through the normal mutation
-// hooks); only the planner preference and clone pre-installation
-// stop.
-func (db *Database) ClearIndexAdvice() {
-	db.mu.Lock()
-	db.advice = nil
-	db.mu.Unlock()
-}
-
-// shareAdvisedLocked pre-installs index payloads for advised columns
-// on a freshly cloned table. Tree mode skips this: the oracle engine
-// never consults indexes, and its counters must stay free of vector
-// work. Callers hold db.mu (read) and src belongs to db.
-func (db *Database) shareAdvisedLocked(name string, src, dst *Table) {
-	if db.mode != ExecVector {
-		return
-	}
-	if cols := db.advice[name]; len(cols) > 0 {
-		src.shareIndexes(dst, cols, db.estats)
-	}
+	return &Database{tables: map[string]*Table{}, mode: db.mode, estats: db.estats}
 }
 
 // CreateTable adds a new empty table.
@@ -251,7 +166,6 @@ func (db *Database) Clone() *Database {
 	out := db.newLike()
 	for _, n := range db.order {
 		out.tables[n] = db.tables[n].Clone()
-		db.shareAdvisedLocked(n, db.tables[n], out.tables[n])
 		out.order = append(out.order, n)
 	}
 	return out
@@ -273,10 +187,10 @@ func (db *Database) CloneSchema() *Database {
 // of only the named subset; other tables stay empty. The extractor
 // uses this to carve the relevant part of D_I into the silo cheaply:
 // the named tables are fresh Table structs that share db's row slices
-// (see shareRows), so the carve costs O(tables), not O(rows). Advised
-// index payloads are shared as for Clone. Row-set operations (SetRows,
-// Sample, KeepRange, Truncate, DeleteRow, Insert) on the clone leave
-// db intact; call Table.Detach before mutating values.
+// (see shareRows), so the carve costs O(tables), not O(rows). Row-set
+// operations (SetRows, Sample, KeepRange, Truncate, DeleteRow, Insert)
+// on the clone leave db intact; call Table.Detach before mutating
+// values.
 func (db *Database) CloneTables(withRows map[string]bool) *Database {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -284,7 +198,6 @@ func (db *Database) CloneTables(withRows map[string]bool) *Database {
 	for _, n := range db.order {
 		if withRows[n] {
 			out.tables[n] = db.tables[n].shareRows()
-			db.shareAdvisedLocked(n, db.tables[n], out.tables[n])
 		} else {
 			out.tables[n] = NewTable(db.tables[n].Schema)
 		}

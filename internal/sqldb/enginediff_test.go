@@ -112,7 +112,7 @@ func TestEngineDiffCorpus(t *testing.T) {
 }
 
 // edgeDB builds a small database exercising the engine's corner
-// cases: an indexed-size table with NULLs, a joinable second table,
+// cases: a table with NULLs, a joinable second table,
 // an empty table, and a table whose join key is entirely NULL.
 func edgeDB(t *testing.T) *sqldb.Database {
 	t.Helper()
@@ -203,7 +203,7 @@ func edgeDB(t *testing.T) *sqldb.Database {
 
 // TestEngineDiffEdgeCases table-drives the tricky corners through
 // both engines: empty tables, all-NULL join keys, DISTINCT
-// aggregates, ORDER BY ties, index eligibility boundaries, NULL
+// aggregates, ORDER BY ties, equality and range predicate shapes, NULL
 // logic and error parity.
 func TestEngineDiffEdgeCases(t *testing.T) {
 	db := edgeDB(t)
@@ -322,17 +322,6 @@ func fuzzDB(rng *rand.Rand) (*sqldb.Database, error) {
 			return nil, err
 		}
 	}
-	// Advise the integer columns so fuzzing also exercises the advised
-	// paths (below-gate index use, non-leading pushdown behind total
-	// prefixes, clone-shared builds). The tree oracle ignores advice,
-	// so the differential contract is unchanged.
-	if err := db.AdviseIndexes(
-		sqldb.IndexHint{Table: "t", Column: "a"},
-		sqldb.IndexHint{Table: "t", Column: "b"},
-		sqldb.IndexHint{Table: "u", Column: "k"},
-	); err != nil {
-		return nil, err
-	}
 	return db, nil
 }
 
@@ -381,14 +370,13 @@ func genPred(rng *rand.Rand, depth int) sqldb.Expr {
 		// must raise (or not raise) the class error together.
 		return sqldb.Bin(sqldb.OpGt, sqldb.Col("t", "s"), sqldb.Lit(sqldb.NewInt(1)))
 	case 5:
-		// Index-eligible BETWEEN: col between int literals (the range
-		// pushdown shape, advised so the gate does not matter).
+		// Column BETWEEN int literals.
 		col := []string{"a", "b"}[rng.Intn(2)]
 		return &sqldb.BetweenExpr{X: sqldb.Col("t", col),
 			Lo: sqldb.Lit(sqldb.NewInt(rng.Int63n(5))),
 			Hi: sqldb.Lit(sqldb.NewInt(2 + rng.Int63n(6)))}
 	case 6:
-		// Index-eligible inequality, literal on either side.
+		// Column-literal inequality, literal on either side.
 		cmps := []sqldb.BinOp{sqldb.OpLt, sqldb.OpLe, sqldb.OpGt, sqldb.OpGe}
 		op := cmps[rng.Intn(len(cmps))]
 		col := sqldb.Col("t", []string{"a", "b"}[rng.Intn(2)])

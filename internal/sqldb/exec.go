@@ -5,7 +5,101 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
+
+// ExecMode selects which execution engine Execute uses.
+type ExecMode uint8
+
+const (
+	// ExecVector is the default engine: columnar batches, vectorized
+	// pushdown predicates and hash-join build-side reuse
+	// (exec_vector.go).
+	ExecVector ExecMode = iota
+	// ExecTree is the original per-row tree-walking engine, kept as
+	// the oracle for the differential harness (enginediff_test.go).
+	ExecTree
+)
+
+func (m ExecMode) String() string {
+	if m == ExecTree {
+		return "tree"
+	}
+	return "vector"
+}
+
+// ParseExecMode parses a -exec / Config.ExecMode knob value. The
+// empty string means the default (vector).
+func ParseExecMode(s string) (ExecMode, error) {
+	switch s {
+	case "", "vector":
+		return ExecVector, nil
+	case "tree":
+		return ExecTree, nil
+	default:
+		return ExecVector, fmt.Errorf("unknown exec mode %q (want \"vector\" or \"tree\")", s)
+	}
+}
+
+// SetExecMode selects the execution engine for this database handle.
+// Clones made afterwards inherit the mode.
+func (db *Database) SetExecMode(m ExecMode) {
+	db.mu.Lock()
+	db.mode = m
+	db.mu.Unlock()
+}
+
+// ExecMode reports the engine this database executes with.
+func (db *Database) ExecMode() ExecMode {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.mode
+}
+
+// EngineStats aggregates engine-internal event counters. One instance
+// is shared by a database and every clone derived from it, so the
+// extractor's per-run numbers survive silo cloning. All fields are
+// atomics: join builds happen lazily under concurrent Executes.
+type EngineStats struct {
+	JoinBuilds    atomic.Int64 // hash-join build sides constructed
+	JoinReuses    atomic.Int64 // build sides served from the cache
+	VectorQueries atomic.Int64 // Execute calls on the vector engine
+	TreeQueries   atomic.Int64 // Execute calls on the tree engine
+	VectorBatches atomic.Int64 // column batches materialized
+	CtxTicks      atomic.Int64 // cancellation cost-model ticks charged
+}
+
+// EngineCounters is a plain snapshot of EngineStats.
+type EngineCounters struct {
+	// Always 0: the engine has no secondary indexes. The fields stay
+	// for readers that still report them.
+	IndexBuilds int64
+	IndexHits   int64
+	RangeBuilds int64
+	RangeHits   int64
+
+	JoinBuilds    int64
+	JoinReuses    int64
+	VectorQueries int64
+	TreeQueries   int64
+	VectorBatches int64
+	CtxTicks      int64
+}
+
+// EngineCounters snapshots the engine counters shared by this
+// database and all its clones. Callers interested in a single run
+// should snapshot before and after and subtract.
+func (db *Database) EngineCounters() EngineCounters {
+	s := db.estats
+	return EngineCounters{
+		JoinBuilds:    s.JoinBuilds.Load(),
+		JoinReuses:    s.JoinReuses.Load(),
+		VectorQueries: s.VectorQueries.Load(),
+		TreeQueries:   s.TreeQueries.Load(),
+		VectorBatches: s.VectorBatches.Load(),
+		CtxTicks:      s.CtxTicks.Load(),
+	}
+}
 
 // Execute runs a single-block SELECT against the database. The
 // statement AST is not modified, so a parsed statement can be executed
@@ -14,7 +108,7 @@ import (
 // callers can impose probe timeouts.
 //
 // Two engines implement the plan: the default vectorized engine
-// (exec_vector.go: columnar batches, secondary hash indexes,
+// (exec_vector.go: columnar batches, vectorized predicates,
 // hash-join build reuse) and the original tree-walking engine, kept
 // as the differential-testing oracle. SetExecMode selects between
 // them; both produce identical results, column names and row order.

@@ -396,3 +396,41 @@ func TestExecuteResidualJoinCycleEdge(t *testing.T) {
 		t.Fatalf("cycle join: %d rows, want 1", res.RowCount())
 	}
 }
+
+// TestExecModeKnob pins the mode surface: parsing, stringing, the
+// database getter/setter and counter snapshots.
+func TestExecModeKnob(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want sqldb.ExecMode
+		ok   bool
+	}{
+		{"", sqldb.ExecVector, true},
+		{"vector", sqldb.ExecVector, true},
+		{"tree", sqldb.ExecTree, true},
+		{"columnar", sqldb.ExecVector, false},
+	} {
+		got, err := sqldb.ParseExecMode(tc.in)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Fatalf("ParseExecMode(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+	}
+	if sqldb.ExecVector.String() != "vector" || sqldb.ExecTree.String() != "tree" {
+		t.Fatalf("mode strings: %q/%q", sqldb.ExecVector, sqldb.ExecTree)
+	}
+	db := sqldb.NewDatabase()
+	if db.ExecMode() != sqldb.ExecVector {
+		t.Fatal("default mode is not vector")
+	}
+	db.SetExecMode(sqldb.ExecTree)
+	if db.ExecMode() != sqldb.ExecTree {
+		t.Fatal("SetExecMode did not take")
+	}
+	if db.Clone().ExecMode() != sqldb.ExecTree {
+		t.Fatal("clone did not inherit the exec mode")
+	}
+	c := db.EngineCounters()
+	if c.JoinBuilds != 0 || c.VectorQueries != 0 {
+		t.Fatalf("fresh database has nonzero counters: %+v", c)
+	}
+}

@@ -1,6 +1,8 @@
 package sqldb
 
 import (
+	"context"
+	"math/rand"
 	"testing"
 )
 
@@ -135,5 +137,64 @@ func TestAggExprString(t *testing.T) {
 	}
 	if got := (&AggExpr{Fn: AggCount, Arg: Col("t", "a"), Distinct: true}).String(); got != "count(distinct t.a)" {
 		t.Errorf("distinct: %q", got)
+	}
+}
+
+// TestExecutionSurvivesCloneStmt is the regression test for the
+// pointer-identity resolution bug: an execution compiled from one
+// statement must evaluate a structurally equal clone (all-new
+// expression pointers) identically under both engines. Keying
+// resolution maps on *ColumnExpr identity broke this.
+func TestExecutionSurvivesCloneStmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	db := NewDatabase()
+	if err := db.CreateTable(TableSchema{Name: "p", Columns: []Column{
+		{Name: "k", Type: TInt}, {Name: "w", Type: TInt},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 32; i++ {
+		if err := db.Insert("p", NewInt(rng.Int63n(6)), NewInt(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stmt := &SelectStmt{
+		Items: []SelectItem{
+			{Expr: Col("p", "k")},
+			{Expr: &AggExpr{Fn: AggSum, Arg: Col("p", "w")}, Alias: "tot"},
+		},
+		From:    []string{"p"},
+		Where:   Bin(OpGe, Col("p", "w"), Lit(NewInt(3))),
+		GroupBy: []Expr{Col("p", "k")},
+		Having:  Bin(OpGt, &AggExpr{Fn: AggCount, Arg: Col("p", "w")}, Lit(NewInt(1))),
+		OrderBy: []OrderKey{{Expr: Col("p", "k")}},
+	}
+	ctx := context.Background()
+	want, err := db.Execute(ctx, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []ExecMode{ExecTree, ExecVector} {
+		ex, err := newExecution(db, stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Swap in a deep clone: every expression node is a fresh
+		// pointer, so any pointer-keyed resolution state is useless
+		// and name-based resolution must carry the run.
+		ex.stmt = CloneStmt(stmt)
+		var got *Result
+		var ticks int
+		if mode == ExecTree {
+			got, err = ex.runTree(ctx, &ticks)
+		} else {
+			got, err = ex.runVector(ctx, &ticks)
+		}
+		if err != nil {
+			t.Fatalf("%s: execution over cloned statement failed: %v", mode, err)
+		}
+		if got.Digest() != want.Digest() {
+			t.Fatalf("%s: cloned-statement digest %s != original %s", mode, got.Digest().Hex(), want.Digest().Hex())
+		}
 	}
 }

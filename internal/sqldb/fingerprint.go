@@ -116,7 +116,7 @@ func (db *Database) CloneShared() *Database {
 	defer db.mu.RUnlock()
 	out := db.newLike()
 	for _, n := range db.order {
-		// Fresh Table struct: rows are shared, but index/build caches
+		// Fresh Table struct: rows are shared, but build caches
 		// are not — a shared clone never inherits or leaks cache state.
 		out.tables[n] = db.tables[n].shareRows()
 		out.order = append(out.order, n)

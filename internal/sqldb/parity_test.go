@@ -3,7 +3,7 @@ package sqldb_test
 // parity_test.go — cross-engine invariants beyond result equality:
 // the cancellation cost model must charge the same tick total in both
 // exec modes (so timeouts behave identically regardless of engine or
-// index cache state), and ORDER BY tie-breaking must be byte-stable
+// build cache state), and ORDER BY tie-breaking must be byte-stable
 // across engines, repeated runs, concurrency, and the top-K
 // short-circuit.
 
@@ -35,7 +35,7 @@ func tickDelta(t *testing.T, db *sqldb.Database, mode sqldb.ExecMode, sql string
 
 // TestCtxTickParityAcrossModes pins the residual-stage (and every
 // other stage's) tick accounting: both engines must charge the same
-// cancellation ticks for the same statement, covering scan, indexed
+// cancellation ticks for the same statement, covering scan, filtered
 // scan, hash join, cross product, residual predicates, aggregation,
 // projection, ordering and limits. Equal tick totals are what make
 // timeout behaviour independent of the exec mode.
@@ -62,7 +62,7 @@ func TestCtxTickParityAcrossModes(t *testing.T) {
 		if treeTicks != vecTicks {
 			t.Errorf("tick accounting diverges for %q: tree=%d vector=%d", sql, treeTicks, vecTicks)
 		}
-		// Re-run under vector: cached indexes and build sides must not
+		// Re-run under vector: cached build sides must not
 		// change the charge (ticks follow logical rows, not work done).
 		if again := tickDelta(t, db, sqldb.ExecVector, sql); again != vecTicks {
 			t.Errorf("vector ticks unstable for %q: first=%d cached=%d", sql, vecTicks, again)

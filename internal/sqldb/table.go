@@ -18,19 +18,16 @@ func (r Row) Clone() Row {
 }
 
 // Table stores the rows of one table together with its schema, plus
-// lazily built engine caches (secondary hash indexes and hash-join
-// build sides). The caches are strictly derived state: every mutator
-// below invalidates the affected entries, clones start with none, and
-// idxMu serializes lazy builds under concurrent read-only Executes.
+// the lazily built hash-join build sides (joinbuild.go). The builds
+// are strictly derived state: every mutator below invalidates the
+// affected entries, clones start with none, and buildMu serializes
+// lazy builds under concurrent read-only Executes.
 type Table struct {
 	Schema TableSchema
 	Rows   []Row
 
-	idxMu    sync.Mutex
-	indexes  map[int]map[string][]int32 // column -> group key -> row ids
-	rindexes map[int]*rangeIndex        // column -> sorted range index
-	builds   []*joinBuild               // cached hash-join build sides
-	advBuilt map[int]bool               // advised columns built once; survives invalidation
+	buildMu sync.Mutex
+	builds  []*joinBuild // cached hash-join build sides
 }
 
 // NewTable creates an empty table for the schema.
@@ -49,7 +46,7 @@ func (t *Table) Clone() *Table {
 }
 
 // shareRows returns a fresh Table over a copy of t's schema whose row
-// slice aliases t's rows, with no index or build caches. The slice's
+// slice aliases t's rows, with no build cache. The slice's
 // capacity is clipped to its length, so an append on the clone
 // reallocates instead of writing into t's backing array, and every
 // row-set mutator below builds a fresh slice rather than rewriting
@@ -62,8 +59,8 @@ func (t *Table) shareRows() *Table {
 
 // Detach replaces every row with a private deep copy, ending any
 // sharing with the table this one was cloned from (CloneTables,
-// CloneShared). Row ids and contents are unchanged, so cached indexes
-// and build sides stay valid.
+// CloneShared). Row ids and contents are unchanged, so cached build
+// sides stay valid.
 func (t *Table) Detach() {
 	rows := make([]Row, len(t.Rows))
 	for i, r := range t.Rows {
@@ -89,7 +86,7 @@ func (t *Table) SnapshotRows() []Row { return t.Rows }
 // keeps a snapshot it intends to restore later.
 func (t *Table) SetRows(rows []Row) {
 	t.Rows = rows
-	t.invalidateIndexes()
+	t.invalidateBuilds()
 }
 
 // CopyRows shallow-copies a row slice: a fresh backing array whose
@@ -113,7 +110,7 @@ func (t *Table) Insert(vals ...Value) error {
 		row[i] = cv
 	}
 	t.Rows = append(t.Rows, row)
-	t.invalidateIndexes()
+	t.invalidateBuilds()
 	return nil
 }
 
@@ -237,7 +234,7 @@ func (t *Table) NegateColumn(col string) error {
 // was cloned from, and a later Insert must not write into it.
 func (t *Table) Truncate() {
 	t.Rows = nil
-	t.invalidateIndexes()
+	t.invalidateBuilds()
 }
 
 // KeepRange retains only rows in [lo, hi) — the minimizer's halving
@@ -249,7 +246,7 @@ func (t *Table) KeepRange(lo, hi int) error {
 	kept := make([]Row, hi-lo)
 	copy(kept, t.Rows[lo:hi])
 	t.Rows = kept
-	t.invalidateIndexes()
+	t.invalidateBuilds()
 	return nil
 }
 
@@ -272,7 +269,7 @@ func (t *Table) Sample(fraction float64, rng *rand.Rand) {
 		kept = append(kept, t.Rows[rng.Intn(len(t.Rows))])
 	}
 	t.Rows = kept
-	t.invalidateIndexes()
+	t.invalidateBuilds()
 }
 
 // DeleteRow removes the row at the given index, building a fresh
@@ -282,7 +279,7 @@ func (t *Table) DeleteRow(i int) error {
 		return fmt.Errorf("table %s has no row %d", t.Schema.Name, i)
 	}
 	t.Rows = append(CopyRows(t.Rows[:i]), t.Rows[i+1:]...)
-	t.invalidateIndexes()
+	t.invalidateBuilds()
 	return nil
 }
 
@@ -293,6 +290,6 @@ func (t *Table) AppendRowCopy(i int) (int, error) {
 		return 0, fmt.Errorf("table %s has no row %d", t.Schema.Name, i)
 	}
 	t.Rows = append(t.Rows, t.Rows[i].Clone())
-	t.invalidateIndexes()
+	t.invalidateBuilds()
 	return len(t.Rows) - 1, nil
 }
